@@ -1,26 +1,31 @@
 """Master-equation dynamics: rate equations, steady states, full evolution.
 
 In the energy eigenbasis the populations close on themselves: they obey a
-classical rate equation p' = W p whose generator W is assembled from the
-dissipation channels and the Bose occupations of the three reservoirs.
-Coherences decay independently, so the steady state is diagonal; a full
-density-matrix propagator is kept as an oracle for that claim.
+classical rate equation p' = W p.  One transition table (a row per channel
+amplitude) is the single source of W, of its temperature derivatives and of
+the heat currents; steady states come from GTH state reduction, their
+derivatives from one linear-response solve.  Coherences decay independently,
+so the steady state is diagonal; a full density-matrix propagator is kept as
+an oracle for that claim.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .channels import DissipationChannel, channels_analytic
-from .model import EigenSystem, ParameterError, SystemParams, analytic_eigensystem
+from .channels import channels_analytic
+from .model import RESERVOIRS, EigenSystem, ParameterError, SystemParams, analytic_eigensystem
 
-# singular values below KERNEL_RTOL * ||W|| count as zero when measuring
-# the kernel dimension of the rate matrix
+# relaxation rates below KERNEL_RTOL * max|W| count as the stationary mode
 KERNEL_RTOL = 1e-10
+
+# 0-based index of the eigenstate that decouples at lambda = (1, 1, 1)
+DARK_STATE = 3
 
 ODE_RTOL = 1e-12
 ODE_ATOL = 1e-16
@@ -57,75 +62,98 @@ def bose_occupation(omega: float, T: float) -> float:
     return math.exp(-x) / (-math.expm1(-x))
 
 
-def rate_matrix(
-    params: SystemParams,
-    channels: list[DissipationChannel] | None = None,
-    eig: EigenSystem | None = None,
-) -> np.ndarray:
-    """Population-transfer generator W of the rate equation p' = W p.
+class _Transitions(NamedTuple):
+    """Transition table, one row per channel amplitude a on a pair i < j.
 
-    For every channel amplitude a on the pair (i, j) with eps_i < eps_j at
-    Bohr frequency w: downward transfer j -> i at gamma (nbar+1) a^2 and
-    upward transfer i -> j at gamma nbar a^2.  Diagonal entries close each
-    column to zero sum.  At lambda = (1,1,1) every amplitude touching
-    state 3 (0-based) is exactly zero, so its row and column vanish
-    identically and the dark state decouples.
+    Each row holds its reservoir (index into RESERVOIRS), the Bohr
+    frequency omega = eps_j - eps_i, rate = gamma a^2 and the reservoir's
+    Bose occupation nbar at omega.  down = rate (nbar + 1) and
+    up = rate nbar are the transfer rates j -> i and i -> j.
     """
-    if eig is None:
-        eig = analytic_eigensystem(params)
-    if channels is None:
-        channels = channels_analytic(params, eig)
-    W = np.zeros((8, 8))
-    for ch in channels:
+
+    i: np.ndarray
+    j: np.ndarray
+    reservoir: np.ndarray
+    omega: np.ndarray
+    rate: np.ndarray
+    nbar: np.ndarray
+
+    @property
+    def down(self) -> np.ndarray:
+        return self.rate * (self.nbar + 1.0)
+
+    @property
+    def up(self) -> np.ndarray:
+        return self.rate * self.nbar
+
+
+def _transitions(params: SystemParams) -> _Transitions:
+    eig = analytic_eigensystem(params)
+    rows = []
+    for ch in channels_analytic(params, eig):
         gamma = params.decay_rate(ch.reservoir)
         T = params.temperature(ch.reservoir)
         for i, j, a in ch.amplitudes:
             w = eig.eigenvalues[j] - eig.eigenvalues[i]
-            n = bose_occupation(w, T)
-            A2 = a * a
-            W[i, j] += gamma * (n + 1.0) * A2
-            W[j, i] += gamma * n * A2
+            rows.append((i, j, RESERVOIRS.index(ch.reservoir), w, gamma * a * a,
+                         bose_occupation(w, T)))
+    return _Transitions(*(np.array(column) for column in zip(*rows)))
+
+
+def _generator(t: _Transitions, down: np.ndarray, up: np.ndarray) -> np.ndarray:
+    """Generator with transfer j -> i at down and i -> j at up; columns sum to 0."""
+    W = np.zeros((8, 8))
+    np.add.at(W, (t.i, t.j), down)
+    np.add.at(W, (t.j, t.i), up)
     W[np.diag_indices(8)] -= W.sum(axis=0)
     return W
 
 
-def _null_vector(W: np.ndarray) -> tuple[np.ndarray, int]:
-    """Smallest right singular vector and the kernel dimension."""
-    _, s, Vt = np.linalg.svd(W)
-    nullity = int(np.sum(s < KERNEL_RTOL * s[0])) if s[0] > 0 else W.shape[0]
-    return Vt[-1], nullity
+def _currents(t: _Transitions, down: np.ndarray, up: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """(Q_L, Q_M, Q_R): each row delivers omega * (upward - downward flux)."""
+    flux = t.omega * (up * p[t.i] - down * p[t.j])
+    return np.bincount(t.reservoir, weights=flux, minlength=3)
 
 
-def _refine_null_vector(W: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Two rounds of bordered iterative refinement on W p = 0, sum(p) = 1.
+def rate_matrix(params: SystemParams) -> np.ndarray:
+    """Population-transfer generator W of the rate equation p' = W p.
 
-    The SVD null vector is accurate to eps * ||W|| / gap; the heat-current
-    conservation identity is residual-limited, so the residual is pushed to
-    the matvec rounding floor.  Oversized corrections (possible when the
-    kernel is nearly degenerate) are discarded.
+    For every channel amplitude a on the pair (i, j) with eps_i < eps_j at
+    Bohr frequency w: downward transfer j -> i at W[i, j] = gamma (nbar+1) a^2
+    and upward transfer i -> j at W[j, i] = gamma nbar a^2.  Diagonal entries
+    close each column to zero sum.  At lambda = (1,1,1) every amplitude
+    touching state 3 (0-based) is exactly zero, so its row and column vanish
+    identically and the dark state decouples.
     """
-    n = W.shape[0]
-    A = np.vstack([W, np.ones(n)])
-    for _ in range(2):
-        r = np.concatenate([W @ p, [p.sum() - 1.0]])
-        delta, *_ = np.linalg.lstsq(A, r, rcond=None)
-        if not np.all(np.isfinite(delta)) or np.max(np.abs(delta)) > 1e-3:
-            break
-        p = p - delta
-    return p
+    t = _transitions(params)
+    return _generator(t, t.down, t.up)
 
 
-def _clean_populations(p: np.ndarray) -> np.ndarray:
-    total = p.sum()
-    if total == 0:
-        raise SteadyStateError("null vector sums to zero")
-    p = p / total
-    if p.min() < -1e-10:
-        raise SteadyStateError(
-            f"null vector has a significantly negative component ({p.min():.3e})"
-        )
-    p = np.where(p < 0, 0.0, p)
+def _gth(W: np.ndarray) -> np.ndarray:
+    """Stationary vector of the off-diagonal rates W[i, j] (j -> i).
+
+    Grassmann-Taksar-Heyman state reduction: states are censored from the
+    top down, their flows folded into the rates among the states below, and
+    the populations follow by back substitution.  Only non-negative numbers
+    are added, multiplied and divided, so no component can come out negative
+    and each has a small relative error (O'Cinneide 1993).
+    """
+    A = np.array(W, dtype=float)
+    out = np.empty(len(A))
+    for k in range(len(A) - 1, 0, -1):
+        out[k] = A[:k, k].sum()
+        if out[k] == 0.0:
+            raise SteadyStateError(f"state {k} has no outflow to the states below it")
+        A[:k, :k] += np.outer(A[:k, k] / out[k], A[k, :k])
+    p = np.ones(len(A))
+    for k in range(1, len(A)):
+        p[k] = A[k, :k] @ p[:k] / out[k]
     return p / p.sum()
+
+
+def _solved_states(params: SystemParams) -> list[int]:
+    """All eight states, or the seven left when the dark population is pinned."""
+    return [k for k in range(8) if k != DARK_STATE or not params.fully_common]
 
 
 def steady_state(
@@ -135,43 +163,48 @@ def steady_state(
 ) -> np.ndarray:
     """Stationary population vector of the rate equation.
 
-    The kernel of W is extracted from its smallest singular vectors, which
-    is robust to the huge rate spread produced by nbar at omega/T of order
-    60.  For a unique steady state rho44_init must be absent.  When the
-    kernel is two-dimensional (fully common coupling), the conserved dark
-    population must be pinned: state 3 (0-based) is removed, the remaining
-    7-state kernel is solved and scaled to 1 - rho44_init.
+    GTH state reduction on the off-diagonal rates of W keeps populations as
+    small as 1e-30 to full relative precision.  For a unique steady state
+    rho44_init must be absent.  At fully common coupling the dark state 3
+    (0-based) decouples and its conserved population must be pinned: the
+    other seven states are solved and scaled to 1 - rho44_init.
     """
+    if params.fully_common and rho44_init is None:
+        raise UnderdeterminedError("fully common coupling leaves the dark-state "
+                                   "population free; supply rho44_init")
+    if not params.fully_common and rho44_init is not None:
+        raise OverdeterminedError("steady state is unique; rho44_init must not be supplied")
+    if rho44_init is not None and not (0.0 <= rho44_init <= 1.0):
+        raise ParameterError("rho44_init must lie in [0, 1]")
     if W is None:
         W = rate_matrix(params)
-    v, nullity = _null_vector(W)
-    if nullity == 1:
-        if rho44_init is not None:
-            raise OverdeterminedError(
-                "steady state is unique; rho44_init must not be supplied"
-            )
-        return _clean_populations(_refine_null_vector(W, _clean_populations(v)))
-    if nullity == 2:
-        if rho44_init is None:
-            raise UnderdeterminedError(
-                "rate matrix kernel is two-dimensional (dark state present); "
-                "supply rho44_init"
-            )
-        if not (0.0 <= rho44_init <= 1.0):
-            raise ParameterError("rho44_init must lie in [0, 1]")
-        keep = [0, 1, 2, 4, 5, 6, 7]
-        W_red = W[np.ix_(keep, keep)]
-        q, sub_nullity = _null_vector(W_red)
-        if sub_nullity != 1:
-            raise SteadyStateError(
-                f"reduced rate matrix kernel has dimension {sub_nullity}"
-            )
-        q = _clean_populations(_refine_null_vector(W_red, _clean_populations(q)))
-        p = np.zeros(8)
-        p[keep] = (1.0 - rho44_init) * q
-        p[3] = rho44_init
-        return p
-    raise SteadyStateError(f"rate matrix kernel has dimension {nullity}")
+    keep = _solved_states(params)
+    p = np.zeros(8)
+    p[keep] = _gth(W[np.ix_(keep, keep)])
+    if rho44_init is not None:
+        p *= 1.0 - rho44_init
+        p[DARK_STATE] = rho44_init
+    return p
+
+
+def _steady_derivative(params: SystemParams, W: np.ndarray, dW: np.ndarray,
+                       p: np.ndarray) -> np.ndarray:
+    """First-order change p' of the steady state p when W changes by dW.
+
+    Solves W p' = -dW p with sum(p') = 0 on the solved states.  One balance
+    row is redundant (the columns of W sum to zero) and gives way to the
+    normalisation: the row of the most populated state, so that every small
+    population keeps its own balance equation.
+    """
+    keep = _solved_states(params)
+    A = W[np.ix_(keep, keep)]
+    b = -(dW @ p)[keep]
+    r = int(np.argmax(p[keep]))
+    A[r] = 1.0
+    b[r] = 0.0
+    dp = np.zeros(8)
+    dp[keep] = np.linalg.solve(A, b)
+    return dp
 
 
 def _check_populations(p: np.ndarray) -> np.ndarray:
@@ -306,14 +339,12 @@ class DriveSpec:
 
     Omega is the driving strength, delta_t the pulse duration; the drive is
     treated as instantaneous on dissipative timescales and therefore as a
-    pure Rabi rotation of the driven pair.  omega_d records the resonance
-    frequency eps_hi - eps_lo for reporting.
+    pure Rabi rotation of the driven pair.
     """
 
     Omega: float
     delta_t: float
     pair: tuple[int, int] = (3, 7)
-    omega_d: float | None = None
 
     def __post_init__(self):
         if not self.Omega > 0:

@@ -21,6 +21,7 @@ from .dynamics import DriveSpec, SteadyStateError, apply_drive, steady_state
 from .model import ParameterError, SecularReport, SystemParams, validate_secular
 from .observables import (
     AmplificationResult,
+    DegenerateControlError,
     HeatCurrentTriple,
     amplification_factor,
     heat_currents,
@@ -134,7 +135,8 @@ def _run_point(args: tuple[SweepSpec, float]) -> RunRecord:
             amplification = amplification_factor(
                 params, control=spec.control, rho44_init=rho44
             )
-    except Exception as exc:  # per-point failures are data, the run continues
+    except (SteadyStateError, DegenerateControlError, ParameterError) as exc:
+        # domain failures are data and the run continues; anything else is a bug
         error = f"{type(exc).__name__}: {exc}"
     return RunRecord(
         axis_value=float(value),
@@ -276,18 +278,12 @@ def run_populations(
     if points < 2:
         raise ConfigError("population sweep needs at least 2 points")
     values = np.linspace(lo, hi, points)
-    alt = params.replace(lambda1=compare_lambda1)
-    pops = np.empty((points, 8))
-    pops_cmp = np.empty((points, 8))
-    for n, T_M in enumerate(values):
-        pops[n] = steady_state(
-            params.replace(T_M=float(T_M)),
-            rho44_init=rho44_init if params.fully_common else None,
-        )
-        pops_cmp[n] = steady_state(
-            alt.replace(T_M=float(T_M)),
-            rho44_init=rho44_init if alt.fully_common else None,
-        )
+    pops, pops_cmp = (
+        np.array([steady_state(base.replace(T_M=float(T_M)),
+                               rho44_init=rho44_init if base.fully_common else None)
+                  for T_M in values])
+        for base in (params, params.replace(lambda1=compare_lambda1))
+    )
     return PopulationCurves(
         axis_values=values,
         populations=pops,

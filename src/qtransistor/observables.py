@@ -14,15 +14,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import channels_analytic
 from .dynamics import (
     SteadyStateError,
-    bose_occupation,
+    _currents,
+    _generator,
+    _steady_derivative,
+    _transitions,
     dissipator_superoperator,
     rate_matrix,
     steady_state,
 )
-from .model import ParameterError, SystemParams, analytic_eigensystem
+from .model import RESERVOIRS, ParameterError, SystemParams, analytic_eigensystem
 
 STEADY_RESIDUAL_TOL = 1e-8
 
@@ -64,18 +66,15 @@ class HeatCurrentTriple:
 
 @dataclass(frozen=True)
 class AmplificationResult:
-    """Finite-difference amplification factors at one operating point.
+    """Amplification factors at one operating point.
 
-    alpha_L and alpha_R are central differences of Q_L and Q_R against Q_M
-    under a perturbation of the control temperature; dT is the step used
-    and convergence_estimate the change observed when halving it.
+    alpha_L = dQ_L/dQ_M and alpha_R = dQ_R/dQ_M under a variation of the
+    control temperature, from the linear response of the steady state.
     """
 
     alpha_L: float
     alpha_R: float
     control: str
-    dT: float
-    convergence_estimate: float
 
 
 def heat_currents(params: SystemParams, p: np.ndarray) -> HeatCurrentTriple:
@@ -86,19 +85,10 @@ def heat_currents(params: SystemParams, p: np.ndarray) -> HeatCurrentTriple:
     gives its current.
     """
     p = np.asarray(p, dtype=float)
-    eig = analytic_eigensystem(params)
-    W = rate_matrix(params)
-    residual = float(np.max(np.abs(W @ p)))
-    Q = {"L": 0.0, "M": 0.0, "R": 0.0}
-    for ch in channels_analytic(params, eig):
-        gamma = params.decay_rate(ch.reservoir)
-        T = params.temperature(ch.reservoir)
-        for i, j, a in ch.amplitudes:
-            w = eig.eigenvalues[j] - eig.eigenvalues[i]
-            n = bose_occupation(w, T)
-            A2 = a * a
-            Q[ch.reservoir] += w * gamma * A2 * (n * p[i] - (n + 1.0) * p[j])
-    return HeatCurrentTriple(Q_L=Q["L"], Q_M=Q["M"], Q_R=Q["R"], steady_residual=residual)
+    t = _transitions(params)
+    residual = float(np.max(np.abs(_generator(t, t.down, t.up) @ p)))
+    Q = _currents(t, t.down, t.up, p)
+    return HeatCurrentTriple(*map(float, Q), steady_residual=residual)
 
 
 def heat_currents_trace(params: SystemParams, p: np.ndarray) -> HeatCurrentTriple:
@@ -121,54 +111,33 @@ def heat_currents_trace(params: SystemParams, p: np.ndarray) -> HeatCurrentTripl
                              steady_residual=residual)
 
 
-def _currents_at(params: SystemParams, rho44_init) -> np.ndarray:
-    p = steady_state(params, rho44_init=rho44_init)
-    return heat_currents(params, p).as_array()
-
-
 def amplification_factor(
     params: SystemParams,
     control: str = "M",
-    dT: float | None = None,
     rho44_init: float | None = None,
 ) -> AmplificationResult:
-    """Central-difference amplification factors for one control terminal.
+    """Amplification factors for one control terminal by linear response.
 
-    alpha_{L,R} = dQ_{L,R}/dQ_M under a variation of T_control, computed
-    from full steady-state re-solves at T +- dT.  A second evaluation at
-    dT/2 provides the convergence estimate.  rho44_init pins the dark-state
+    With T = T_control, dnbar/dT = nbar (nbar + 1) w / T^2 on that
+    reservoir's transitions gives dW/dT, the steady-state derivative p'
+    solves W p' = -(dW/dT) p with sum(p') = 0, and
+    alpha_{L,R} = (dQ_{L,R}/dT) / (dQ_M/dT).  rho44_init pins the dark-state
     population when the fully common coupling makes the steady state
     non-unique.
     """
-    if control not in ("L", "M", "R"):
+    if control not in RESERVOIRS:
         raise ParameterError("control terminal must be one of 'L', 'M', 'R'")
-    field = f"T_{control}"
-    T_X = getattr(params, field)
-    if dT is None:
-        dT = T_X * 1e-3
-    if not (0.0 < dT < T_X):
-        raise ParameterError("dT must be positive and below the control temperature")
-
-    def central(step: float) -> np.ndarray:
-        hi = _currents_at(params.replace(**{field: T_X + step}), rho44_init)
-        lo = _currents_at(params.replace(**{field: T_X - step}), rho44_init)
-        dQ = hi - lo
-        scale = max(np.max(np.abs(hi)), np.max(np.abs(lo)))
-        if scale == 0.0 or abs(dQ[1]) < 1e-14 * scale:
-            raise DegenerateControlError(
-                f"dQ_M/dT_{control} vanishes at this operating point"
-            )
-        return np.array([dQ[0] / dQ[1], dQ[2] / dQ[1]])
-
-    coarse = central(dT)
-    fine = central(0.5 * dT)
-    return AmplificationResult(
-        alpha_L=float(coarse[0]),
-        alpha_R=float(coarse[1]),
-        control=control,
-        dT=dT,
-        convergence_estimate=float(np.max(np.abs(fine - coarse))),
-    )
+    t = _transitions(params)
+    W = _generator(t, t.down, t.up)
+    p = steady_state(params, rho44_init=rho44_init, W=W)
+    T = params.temperature(control)
+    on = t.reservoir == RESERVOIRS.index(control)
+    d_rate = np.where(on, t.rate * t.nbar * (t.nbar + 1.0) * t.omega / (T * T), 0.0)
+    dp = _steady_derivative(params, W, _generator(t, d_rate, d_rate), p)
+    dQ = _currents(t, t.down, t.up, dp) + _currents(t, d_rate, d_rate, p)
+    if dQ[1] == 0.0:
+        raise DegenerateControlError(f"dQ_M/dT_{control} vanishes at this operating point")
+    return AmplificationResult(float(dQ[0] / dQ[1]), float(dQ[2] / dQ[1]), control)
 
 
 # closed-form reduction: active states (0-based) once the dark state 3 is

@@ -137,8 +137,7 @@ def test_criterion_04_fig2_reproduction():
         spec = sweep_from_config(load_config("fig2"))
         records = run_sweep(spec)
         assert len(records) == 100
-        interior = records[1:-1]
-        for rec in interior:
+        for rec in records:
             assert rec.error is None
             assert 20.0 <= abs(rec.amplification.alpha_L) <= 45.0
             assert 20.0 <= abs(rec.amplification.alpha_R) <= 45.0

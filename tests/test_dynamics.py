@@ -1,6 +1,7 @@
 import math
 from decimal import Decimal, getcontext
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -50,6 +51,41 @@ def eq13_rate_matrix(params):
                 W[j, i] += gamma * n * Se[i, j] ** 2
     W[np.diag_indices(8)] -= W.sum(axis=0)
     return W
+
+
+def mp_steady_state(W, rho44_init=None, digits=50):
+    """Oracle: steady populations of the off-diagonal rates W[i, j] (j -> i).
+
+    Grassmann-Taksar-Heyman reduction in `digits`-digit arithmetic, one
+    scalar at a time.  With rho44_init the dark state 3 is pinned and the
+    other seven states share the rest.
+    """
+    keep = [k for k in range(8) if rho44_init is None or k != 3]
+    n = len(keep)
+    with mpmath.workdps(digits):
+        A = [[mpmath.mpf(float(W[a, b])) for b in keep] for a in keep]
+        out = [None] * n
+        for k in range(n - 1, 0, -1):
+            out[k] = mpmath.fsum(A[i][k] for i in range(k))
+            for i in range(k):
+                for j in range(k):
+                    if j != i:
+                        A[i][j] += A[i][k] * A[k][j] / out[k]
+        q = [mpmath.mpf(1)]
+        for k in range(1, n):
+            q.append(mpmath.fsum(q[i] * A[k][i] for i in range(k)) / out[k])
+        scale = (1 - mpmath.mpf(rho44_init or 0)) / mpmath.fsum(q)
+        p = np.zeros(8)
+        p[keep] = [float(x * scale) for x in q]
+    if rho44_init is not None:
+        p[3] = rho44_init
+    return p
+
+
+# GTH adds, multiplies and divides non-negative numbers only, so each
+# population picks up a few ulps of relative error per state it passes
+# through (O'Cinneide, Numer. Math. 65, 1993): 4 ulps x 8 states
+POPULATION_RTOL = 4 * 8 * np.finfo(float).eps
 
 
 class TestBoseOccupation:
@@ -155,6 +191,15 @@ class TestSteadyState:
         q = heat_currents(dark_params, p)
         assert q.Q_L == q.Q_M == q.Q_R == 0.0
 
+    def test_state_without_outflow_raises(self, fig2_params):
+        # 1 - lambda = 1e-13 puts every amplitude of state 3 below the
+        # channel amplitude cut-off, so nothing leaves it
+        lam = 1.0 - 1e-13
+        params = fig2_params.replace(lambda1=lam, lambda2=lam, lambda3=lam)
+        assert np.all(rate_matrix(params)[:, 3] == 0.0)
+        with pytest.raises(SteadyStateError, match="no outflow"):
+            steady_state(params)
+
     def test_dark_case_requires_rho44(self, dark_params):
         with pytest.raises(UnderdeterminedError):
             steady_state(dark_params)
@@ -166,6 +211,26 @@ class TestSteadyState:
     def test_dark_rho44_out_of_range(self, dark_params):
         with pytest.raises(ParameterError):
             steady_state(dark_params, rho44_init=1.5)
+
+    def test_cold_case_relative_accuracy(self, fig2_params):
+        # populations span 1 down to ~1e-30; every one must carry full
+        # relative precision, not just a small absolute error
+        cold = fig2_params.replace(T_L=1.0, T_M=0.05, T_R=0.05)
+        ref = mp_steady_state(rate_matrix(cold))
+        assert ref.min() < 1e-29
+        np.testing.assert_allclose(steady_state(cold), ref, rtol=POPULATION_RTOL, atol=0)
+
+    @pytest.mark.parametrize("u", [2, 5, 8])
+    def test_near_dark_state_is_unique(self, fig2_params, u):
+        lam = 1.0 - 10.0 ** -u
+        params = fig2_params.replace(lambda1=lam, lambda2=lam, lambda3=lam)
+        ref = mp_steady_state(rate_matrix(params))
+        np.testing.assert_allclose(steady_state(params), ref, rtol=POPULATION_RTOL, atol=0)
+
+    def test_dark_pinned_relative_accuracy(self, dark_params):
+        ref = mp_steady_state(rate_matrix(dark_params), rho44_init=0.3)
+        np.testing.assert_allclose(steady_state(dark_params, rho44_init=0.3), ref,
+                                   rtol=POPULATION_RTOL, atol=0)
 
     def test_populations_clean(self, fig2_params):
         p = steady_state(fig2_params)

@@ -132,6 +132,17 @@ class TestRunSweep:
         assert all(r.error is not None for r in records)
         assert all("rho44" in r.error for r in records)
 
+    def test_programming_errors_propagate(self, fig2_params, monkeypatch):
+        # only domain errors become error rows; a bug must fail the run
+        def broken(*args, **kwargs):
+            raise TypeError("broken layer")
+
+        monkeypatch.setattr("qtransistor.experiments.heat_currents", broken)
+        spec = SweepSpec(base=fig2_params, axis="T_M", lo=0.5, hi=1.5, points=2,
+                         outputs=("currents",))
+        with pytest.raises(TypeError, match="broken layer"):
+            run_sweep(spec)
+
     def test_csv_round_trip_and_determinism(self, fig2_params, tmp_path):
         spec = SweepSpec(base=fig2_params, axis="T_M", lo=0.5, hi=2.5, points=4,
                          outputs=("currents", "populations"))
