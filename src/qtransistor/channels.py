@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (
+    RESERVOIRS,
     EigenSystem,
     SystemParams,
     analytic_eigensystem,
@@ -100,39 +101,65 @@ def _channel(reservoir, index, eigenvalues, entries) -> DissipationChannel:
     )
 
 
+# One row per channel amplitude a = <eps_i|S_nu|eps_j>, two rows per channel
+# in channel order L1..L4, M1..M4, R1..R4: (i, j, reservoir, sign, x, y,
+# over_rt2) with a = sign * x * y, divided by sqrt(2) where over_rt2 is set.
+# x and y name columns of the factor table built by transition_amplitudes.
+# The pairs involving the central doublet carry (1 +- lambda)/sqrt(2)
+# weights, which is why state 3 (0-based) decouples completely at lambda = 1.
+FACTORS = ("cR", "cL", "cM", "sM", "sL", "1-l1", "1-l2", "1-l3", "1+l1", "1+l2", "1+l3")
+TRANSITIONS = (
+    (0, 2, "L", -1, "cR", "cM", False), (5, 7, "L", 1, "cR", "cM", False),
+    (0, 5, "L", 1, "cR", "sM", False), (2, 7, "L", 1, "cR", "sM", False),
+    (1, 3, "L", -1, "cL", "1-l1", True), (4, 6, "L", 1, "cL", "1+l1", True),
+    (1, 4, "L", 1, "cL", "1+l1", True), (3, 6, "L", 1, "cL", "1-l1", True),
+    (2, 3, "M", 1, "cM", "1-l2", True), (4, 5, "M", 1, "cM", "1+l2", True),
+    (2, 4, "M", -1, "cM", "1+l2", True), (3, 5, "M", 1, "cM", "1-l2", True),
+    (0, 1, "M", 1, "cR", "cL", False), (6, 7, "M", 1, "cR", "cL", False),
+    (0, 6, "M", 1, "cR", "sL", False), (1, 7, "M", -1, "cR", "sL", False),
+    (0, 3, "R", 1, "cR", "1-l3", True), (4, 7, "R", 1, "cR", "1+l3", True),
+    (0, 4, "R", 1, "cR", "1+l3", True), (3, 7, "R", -1, "cR", "1-l3", True),
+    (1, 2, "R", 1, "cL", "sM", False), (5, 6, "R", 1, "cL", "sM", False),
+    (1, 5, "R", 1, "cL", "cM", False), (2, 6, "R", -1, "cL", "cM", False),
+)
+# the table as index arrays: row r moves population between states
+# ROW_I[r] < ROW_J[r] through reservoir RESERVOIRS[ROW_RESERVOIR[r]]
+ROW_I, ROW_J, ROW_RESERVOIR = (np.array(column) for column in zip(*(
+    (i, j, RESERVOIRS.index(nu)) for i, j, nu, *_ in TRANSITIONS)))
+_SIGN = np.array([float(row[3]) for row in TRANSITIONS])
+_X = np.array([FACTORS.index(row[4]) for row in TRANSITIONS])
+_Y = np.array([FACTORS.index(row[5]) for row in TRANSITIONS])
+_DIVISOR = np.array([math.sqrt(2.0) if row[6] else 1.0 for row in TRANSITIONS])
+
+
+def transition_amplitudes(cos: np.ndarray, sin: np.ndarray, lambdas: np.ndarray) -> np.ndarray:
+    """(N, 24) channel amplitudes in TRANSITIONS row order.
+
+    cos and sin are (N, 3) cosines and sines of the mixing angles
+    (beta_R, beta_L, beta_M), lambdas the (N, 3) common-coupling strengths.
+    """
+    F = np.concatenate([cos, sin[:, 2:0:-1], 1.0 - lambdas, 1.0 + lambdas], axis=1)
+    return _SIGN * (F[:, _X] * F[:, _Y]) / _DIVISOR
+
+
 def channels_analytic(params: SystemParams, eig: EigenSystem | None = None) -> list[DissipationChannel]:
-    """All 12 channels with closed-form amplitudes.
+    """All 12 channels with closed-form amplitudes (the TRANSITIONS table).
 
     Transition pairs are fixed by the doublet structure; amplitudes combine
-    cos(beta) factors with the common-coupling strengths, e.g. the pairs
-    involving the central doublet carry (1 +- lambda)/sqrt(2) weights, which
-    is why state 3 (0-based) decouples completely at lambda = 1.
+    cos(beta) factors with the common-coupling strengths.
     """
     if eig is None:
         eig = analytic_eigensystem(params)
-    bR, bL, bM, _ = eig.mixing_angles
-    cR, cL, cM = math.cos(bR), math.cos(bL), math.cos(bM)
-    sR, sL, sM = math.sin(bR), math.sin(bL), math.sin(bM)
-    l1, l2, l3 = params.lambda1, params.lambda2, params.lambda3
-    rt2 = math.sqrt(2.0)
-
-    spec = {
-        ("L", 1): (((0, 2), -cR * cM), ((5, 7), cR * cM)),
-        ("L", 2): (((0, 5), cR * sM), ((2, 7), cR * sM)),
-        ("L", 3): (((1, 3), cL * (l1 - 1) / rt2), ((4, 6), cL * (l1 + 1) / rt2)),
-        ("L", 4): (((1, 4), cL * (1 + l1) / rt2), ((3, 6), cL * (1 - l1) / rt2)),
-        ("M", 1): (((2, 3), cM * (1 - l2) / rt2), ((4, 5), cM * (1 + l2) / rt2)),
-        ("M", 2): (((2, 4), cM * (-1 - l2) / rt2), ((3, 5), cM * (1 - l2) / rt2)),
-        ("M", 3): (((0, 1), cR * cL), ((6, 7), cR * cL)),
-        ("M", 4): (((0, 6), cR * sL), ((1, 7), -cR * sL)),
-        ("R", 1): (((0, 3), cR * (1 - l3) / rt2), ((4, 7), cR * (1 + l3) / rt2)),
-        ("R", 2): (((0, 4), cR * (l3 + 1) / rt2), ((3, 7), cR * (l3 - 1) / rt2)),
-        ("R", 3): (((1, 2), cL * sM), ((5, 6), cL * sM)),
-        ("R", 4): (((1, 5), cL * cM), ((2, 6), -cL * cM)),
-    }
+    beta = eig.mixing_angles[:3]
+    a = transition_amplitudes(
+        np.array([[math.cos(b) for b in beta]]),
+        np.array([[math.sin(b) for b in beta]]),
+        np.array([[params.lambda1, params.lambda2, params.lambda3]]),
+    )[0].tolist()
+    rows = [(i, j, a[r]) for r, (i, j, *_) in enumerate(TRANSITIONS)]
     return [
-        _channel(nu, k, eig.eigenvalues, [(i, j, a) for (i, j), a in entries])
-        for (nu, k), entries in spec.items()
+        _channel(TRANSITIONS[2 * c][2], c % 4 + 1, eig.eigenvalues, rows[2 * c:2 * c + 2])
+        for c in range(12)
     ]
 
 

@@ -1,14 +1,17 @@
 """Command-line interface.
 
     simulate sweep --config fig2 --out fig2.csv [--axis ... --range lo:hi
-             --points N --control {L|M|R} --workers N]
+             --points N --control {L|M|R}]
     simulate modulate --config fig8 [--out report.txt --trajectory-out t.csv]
     simulate populations --config fig6 --out pops.csv
     simulate channels-dump --config fig2 --out channels.csv
     simulate validate --config fig2
 
---config accepts a file path or a shipped preset name.  Exit codes:
-0 success, 2 invalid configuration, 3 every sweep point failed.
+--config accepts a file path or a shipped preset name.  Each command
+solves all of its operating points in one batched call (see
+qtransistor.dynamics.solve); the argument parser is built once, when the
+module is imported.  Exit codes: 0 success, 2 invalid configuration,
+3 every sweep point failed.
 """
 
 from __future__ import annotations
@@ -62,8 +65,6 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="override the sweep range")
     p_sweep.add_argument("--points", type=int, default=None)
     p_sweep.add_argument("--control", choices=("L", "M", "R"), default=None)
-    p_sweep.add_argument("--workers", type=int, default=1,
-                         help="worker processes (results stay in grid order)")
 
     p_mod = sub.add_parser("modulate", help="dark-state heat modulation protocol")
     add_common(p_mod)
@@ -105,7 +106,7 @@ def _cmd_sweep(args) -> int:
     if args.control is not None:
         cfg["control"] = args.control
     spec = sweep_from_config(cfg)
-    records = run_sweep(spec, workers=args.workers)
+    records = run_sweep(spec)
     if all(rec.error is not None for rec in records):
         sys.stderr.write("error: every sweep point failed; first failure: "
                          f"{records[0].error}\n")
@@ -201,9 +202,11 @@ _COMMANDS = {
 }
 
 
+_PARSER = _build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
     except (ConfigError, ParameterError, DarkStateError) as exc:

@@ -1,28 +1,39 @@
 """Master-equation dynamics: rate equations, steady states, full evolution.
 
 In the energy eigenbasis the populations close on themselves: they obey a
-classical rate equation p' = W p.  One transition table (a row per channel
-amplitude) is the single source of W, of its temperature derivatives and of
-the heat currents; steady states come from GTH state reduction, their
-derivatives from one linear-response solve.  Coherences decay independently,
-so the steady state is diagonal; a full density-matrix propagator is kept as
-an oracle for that claim.
+classical rate equation p' = W p.  One batched kernel, `solve`, computes
+every per-point number of the package.  For N operating points it builds
+the transition table as (N, 24) arrays (a row per channel amplitude, in
+the order of channels.TRANSITIONS), assembles W as (N, 8, 8), finds the
+steady states by GTH state reduction, takes the heat currents and the
+residual max|W p| from the same rows, and gets the amplification factors
+from one batched linear-response solve; nothing in it loops over points
+or channels.  rate_matrix, steady_state and (in observables)
+heat_currents and amplification_factor are its N = 1 calls.  Coherences
+decay independently, so the steady state is diagonal; a full
+density-matrix propagator is kept as an oracle for that claim.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .channels import channels_analytic
+from .channels import (
+    AMPLITUDE_TOL,
+    ROW_I,
+    ROW_J,
+    ROW_RESERVOIR,
+    channels_analytic,
+    transition_amplitudes,
+)
 from .model import RESERVOIRS, EigenSystem, ParameterError, SystemParams, analytic_eigensystem
-
-# relaxation rates below KERNEL_RTOL * max|W| count as the stationary mode
-KERNEL_RTOL = 1e-10
 
 # 0-based index of the eigenstate that decouples at lambda = (1, 1, 1)
 DARK_STATE = 3
@@ -41,6 +52,10 @@ class UnderdeterminedError(SteadyStateError):
 
 class OverdeterminedError(SteadyStateError):
     """rho44_init supplied although the steady state is unique."""
+
+
+class DegenerateControlError(ArithmeticError):
+    """The control current does not respond to the control temperature."""
 
 
 class IntegrationError(RuntimeError):
@@ -62,20 +77,41 @@ def bose_occupation(omega: float, T: float) -> float:
     return math.exp(-x) / (-math.expm1(-x))
 
 
-class _Transitions(NamedTuple):
-    """Transition table, one row per channel amplitude a on a pair i < j.
+# the SystemParams fields the kernel reads, as the columns of its input
+_FIELDS = operator.attrgetter(
+    "omega_L", "omega_M", "g", "T_L", "T_M", "T_R",
+    "gamma_L", "gamma_M", "gamma_R", "lambda1", "lambda2", "lambda3",
+)
 
-    Each row holds its reservoir (index into RESERVOIRS), the Bohr
-    frequency omega = eps_j - eps_i, rate = gamma a^2 and the reservoir's
-    Bose occupation nbar at omega.  down = rate (nbar + 1) and
-    up = rate nbar are the transfer rates j -> i and i -> j.
+# flat indices into a row-major 8x8 W: transfer j -> i sits at W[i, j] and
+# i -> j at W[j, i]; the 24 pairs are distinct, so each entry is set once
+_DOWN = ROW_I * 8 + ROW_J
+_UP = ROW_J * 8 + ROW_I
+_DIAGONAL = np.arange(8) * 9
+
+# states solved for: all eight, or the seven left when the dark state is pinned
+_ALL_STATES = np.arange(8)
+_LIT_STATES = np.delete(_ALL_STATES, DARK_STATE)
+
+
+def _inputs(params: Sequence[SystemParams]) -> np.ndarray:
+    """(N, 12) kernel input, columns in _FIELDS order."""
+    return np.array([_FIELDS(p) for p in params], dtype=float).reshape(len(params), 12)
+
+
+class _Table(NamedTuple):
+    """Transition table of N points: (N, 24) arrays, rows as channels.TRANSITIONS.
+
+    omega is the Bohr frequency eps_j - eps_i of row (i, j), rate = gamma a^2
+    (0 where |a| <= AMPLITUDE_TOL, the amplitudes channels_analytic drops),
+    T and nbar the temperature and Bose occupation of the row's reservoir
+    at omega.  down = rate (nbar + 1) and up = rate nbar are the transfer
+    rates j -> i and i -> j.
     """
 
-    i: np.ndarray
-    j: np.ndarray
-    reservoir: np.ndarray
     omega: np.ndarray
     rate: np.ndarray
+    T: np.ndarray
     nbar: np.ndarray
 
     @property
@@ -87,32 +123,85 @@ class _Transitions(NamedTuple):
         return self.rate * self.nbar
 
 
-def _transitions(params: SystemParams) -> _Transitions:
-    eig = analytic_eigensystem(params)
-    rows = []
-    for ch in channels_analytic(params, eig):
-        gamma = params.decay_rate(ch.reservoir)
-        T = params.temperature(ch.reservoir)
-        for i, j, a in ch.amplitudes:
-            w = eig.eigenvalues[j] - eig.eigenvalues[i]
-            rows.append((i, j, RESERVOIRS.index(ch.reservoir), w, gamma * a * a,
-                         bose_occupation(w, T)))
-    return _Transitions(*(np.array(column) for column in zip(*rows)))
+_NBAR_UNDEFINED = "bose_occupation requires omega > 0"
+
+# C math library functions, elementwise.  The kernel evaluates its closed
+# forms exactly as model.analytic_eigensystem, model.mixing_angle and
+# bose_occupation do, x ** 2 included, so its tables equal theirs bit for
+# bit; numpy's vectorised exp, expm1 and arcsin, and x * x for pow(x, 2),
+# differ from these in the last bit for a few inputs (on some CPUs).
+_POW, _ASIN, _EXP, _EXPM1 = (np.frompyfunc(f, n, 1) for f, n in (
+    (math.pow, 2), (math.asin, 1), (math.exp, 1), (math.expm1, 1)))
 
 
-def _generator(t: _Transitions, down: np.ndarray, up: np.ndarray) -> np.ndarray:
-    """Generator with transfer j -> i at down and i -> j at up; columns sum to 0."""
-    W = np.zeros((8, 8))
-    np.add.at(W, (t.i, t.j), down)
-    np.add.at(W, (t.j, t.i), up)
-    W[np.diag_indices(8)] -= W.sum(axis=0)
-    return W
+def _table(x: np.ndarray) -> tuple[_Table, np.ndarray]:
+    """Transition table of the input rows x, and where it is undefined.
+
+    Eigenvalues and mixing angles are the closed forms of
+    model.analytic_eigensystem.  The second result flags the points with a
+    kept row at omega <= 0, where nbar does not exist (bose_occupation
+    raises there); temperatures are positive by SystemParams' own checks.
+    """
+    w = np.concatenate([x[:, :1] + x[:, 1:2], x[:, :2]], axis=1)  # omega_R, omega_L, omega_M
+    g = x[:, 2:3]
+    gg = g * g
+    e = np.sqrt(_POW(w, 2.0).astype(float) + gg)
+    eps = np.concatenate([-e, -g, g, e[:, ::-1]], axis=1)
+    s = g / np.sqrt(_POW(np.sqrt(w * w + gg) + w, 2.0).astype(float) + gg)
+    beta = _ASIN(s).astype(float)
+    a = transition_amplitudes(np.cos(beta), np.sin(beta), x[:, 9:12])
+    kept = np.abs(a) > AMPLITUDE_TOL
+    omega = eps[:, ROW_J] - eps[:, ROW_I]
+    T = x[:, 3 + ROW_RESERVOIR]
+    rate = np.where(kept, x[:, 6 + ROW_RESERVOIR] * a * a, 0.0)
+    defined = kept & (omega > 0.0)
+    # the two rows of a channel share omega bit for bit (the same sum or
+    # difference of two eigenvalue magnitudes) and T, so nbar is evaluated
+    # once per channel
+    z = np.where(defined[:, ::2] | defined[:, 1::2], omega[:, ::2] / T[:, ::2], np.inf)
+    nbar = np.repeat(_EXP(-z).astype(float) / -_EXPM1(-z).astype(float), 2, axis=1)
+    return _Table(omega, rate, T, nbar), np.any(kept & ~defined, axis=1)
 
 
-def _currents(t: _Transitions, down: np.ndarray, up: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """(Q_L, Q_M, Q_R): each row delivers omega * (upward - downward flux)."""
-    flux = t.omega * (up * p[t.i] - down * p[t.j])
-    return np.bincount(t.reservoir, weights=flux, minlength=3)
+def _point_table(params: SystemParams) -> _Table:
+    """The N = 1 table of one point; raises where nbar is undefined."""
+    t, undefined = _table(_inputs([params]))
+    if undefined[0]:
+        raise ParameterError(_NBAR_UNDEFINED)
+    return t
+
+
+def _generator(down: np.ndarray, up: np.ndarray) -> np.ndarray:
+    """(N, 8, 8) generators with transfer j -> i at down and i -> j at up; columns sum to 0."""
+    W = np.zeros((len(down), 64))
+    W[:, _DOWN] = down
+    W[:, _UP] = up
+    W[:, _DIAGONAL] -= W.reshape(-1, 8, 8).sum(axis=1)
+    return W.reshape(-1, 8, 8)
+
+
+def _flow(down: np.ndarray, up: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """(N, 24) net population flow i -> j along each row for populations p (N, 8)."""
+    return up * p[:, ROW_I] - down * p[:, ROW_J]
+
+
+def _currents(t: _Table, flow: np.ndarray) -> np.ndarray:
+    """(N, 3) heat currents (Q_L, Q_M, Q_R): each row delivers omega * flow.
+
+    Rows are summed in table order, point by point.
+    """
+    n = len(flow)
+    index = (3 * np.arange(n))[:, None] + ROW_RESERVOIR
+    return np.bincount(index.ravel(), weights=(t.omega * flow).ravel(),
+                       minlength=3 * n).reshape(n, 3)
+
+
+def _rate_of_change(flow: np.ndarray) -> np.ndarray:
+    """(N, 8) W p from the row flows: each flows out of state i into state j."""
+    n = len(flow)
+    index = (8 * np.arange(n))[:, None] + np.concatenate([ROW_J, ROW_I])
+    return np.bincount(index.ravel(), weights=np.concatenate([flow, -flow], axis=1).ravel(),
+                       minlength=8 * n).reshape(n, 8)
 
 
 def rate_matrix(params: SystemParams) -> np.ndarray:
@@ -125,86 +214,224 @@ def rate_matrix(params: SystemParams) -> np.ndarray:
     touching state 3 (0-based) is exactly zero, so its row and column vanish
     identically and the dark state decouples.
     """
-    t = _transitions(params)
-    return _generator(t, t.down, t.up)
+    t = _point_table(params)
+    return _generator(t.down, t.up)[0]
 
 
-def _gth(W: np.ndarray) -> np.ndarray:
-    """Stationary vector of the off-diagonal rates W[i, j] (j -> i).
+def _gth(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Stationary vectors of the off-diagonal rates A[n, i, j] (j -> i).
 
     Grassmann-Taksar-Heyman state reduction: states are censored from the
     top down, their flows folded into the rates among the states below, and
     the populations follow by back substitution.  Only non-negative numbers
     are added, multiplied and divided, so no component can come out negative
-    and each has a small relative error (O'Cinneide 1993).
+    and each has a small relative error (O'Cinneide 1993).  A is reduced in
+    place.  Also returns, per point, the highest state with no outflow to
+    the states below it, or -1; such a point's populations are meaningless.
     """
-    A = np.array(W, dtype=float)
-    out = np.empty(len(A))
-    for k in range(len(A) - 1, 0, -1):
-        out[k] = A[:k, k].sum()
-        if out[k] == 0.0:
-            raise SteadyStateError(f"state {k} has no outflow to the states below it")
-        A[:k, :k] += np.outer(A[:k, k] / out[k], A[k, :k])
-    p = np.ones(len(A))
-    for k in range(1, len(A)):
-        p[k] = A[k, :k] @ p[:k] / out[k]
-    return p / p.sum()
+    n_points, n = A.shape[:2]
+    out = np.ones((n_points, n, 1))
+    p = np.ones((n_points, n, 1))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for k in range(n - 1, 0, -1):
+            column, block = A[:, :k, k:k + 1], A[:, :k, :k]
+            np.add.reduce(column, axis=1, keepdims=True, out=out[:, k:k + 1])
+            np.add(block, column / out[:, k:k + 1] * A[:, k:k + 1, :k], out=block)
+        for k in range(1, n):
+            np.divide(np.matmul(A[:, k:k + 1, :k], p[:, :k]), out[:, k:k + 1],
+                      out=p[:, k:k + 1])
+    dead = out[:, :, 0] == 0.0
+    stuck = np.where(dead.any(axis=1), n - 1 - np.argmax(dead[:, ::-1], axis=1), -1)
+    p = p[:, :, 0]
+    return p / p.sum(axis=1, keepdims=True), stuck
 
 
-def _solved_states(params: SystemParams) -> list[int]:
-    """All eight states, or the seven left when the dark population is pinned."""
-    return [k for k in range(8) if k != DARK_STATE or not params.fully_common]
+def _steady_derivative(W: np.ndarray, dWp: np.ndarray, p: np.ndarray,
+                       keep: np.ndarray) -> np.ndarray:
+    """First-order change p' of steady states p when W changes by dW.
+
+    Solves W p' = -dW p with sum(p') = 0 on the solved states keep, for
+    each point of the batch (dWp = dW p).  One balance row is redundant (the
+    columns of W sum to zero) and gives way to the normalisation: the row
+    of the most populated state, so that every small population keeps its
+    own balance equation.
+    """
+    A = W[:, keep[:, None], keep]
+    b = -dWp[:, keep]
+    r = np.argmax(p[:, keep], axis=1)
+    points = np.arange(len(p))
+    A[points, r] = 1.0
+    b[points, r] = 0.0
+    dp = np.zeros_like(p)
+    dp[:, keep] = np.linalg.solve(A, b[:, :, None])[:, :, 0]
+    return dp
 
 
-def steady_state(
+class _Failures:
+    """Typed domain errors of the points of a batch; a point keeps its first."""
+
+    def __init__(self, n_points: int):
+        self.errors: list[Exception | None] = [None] * n_points
+        self.ok = np.ones(n_points, dtype=bool)
+
+    def record(self, mask: np.ndarray, error: type[Exception], message: str) -> None:
+        if mask.any():
+            mask = mask & self.ok
+            for n in np.flatnonzero(mask):
+                self.errors[n] = error(message)
+            self.ok &= ~mask
+
+
+def _raise_first(errors: Sequence[Exception | None]) -> None:
+    """Raise the first error of a batch, if there is one."""
+    for error in errors:
+        if error is not None:
+            raise error
+
+
+class _Steady(NamedTuple):
+    """The first stage of `solve`: tables, generators and steady states.
+
+    groups holds (points, states) per solver branch: the points solved on
+    all eight states, and the dark-pinned ones solved on the other seven.
+    """
+
+    table: _Table
+    W: np.ndarray
+    populations: np.ndarray
+    groups: list[tuple[np.ndarray, np.ndarray]]
+    failures: _Failures
+
+
+def _steady(params: Sequence[SystemParams], rho44_init: Sequence[float | None]) -> _Steady:
+    n_points = len(params)
+    x = _inputs(params)
+    failures = _Failures(n_points)
+    dark = np.all(x[:, 9:] == 1.0, axis=1)
+    pinned = np.array([r is not None for r in rho44_init], dtype=bool)
+    failures.record(dark & ~pinned, UnderdeterminedError,
+                    "fully common coupling leaves the dark-state population free; "
+                    "supply rho44_init")
+    failures.record(pinned & ~dark, OverdeterminedError,
+                    "steady state is unique; rho44_init must not be supplied")
+    rho44 = np.array([0.0 if r is None else r for r in rho44_init], dtype=float)
+    failures.record(pinned & ~((rho44 >= 0.0) & (rho44 <= 1.0)), ParameterError,
+                    "rho44_init must lie in [0, 1]")
+    t, undefined = _table(x)
+    failures.record(undefined, ParameterError, _NBAR_UNDEFINED)
+    W = _generator(t.down, t.up)
+
+    p = np.full((n_points, 8), np.nan)
+    groups = []
+    for on_dark, keep in ((False, _ALL_STATES), (True, _LIT_STATES)):
+        points = np.flatnonzero(failures.ok & (dark == on_dark))
+        if points.size == 0:
+            continue
+        q, stuck = _gth(W[np.ix_(points, keep, keep)] if on_dark else W[points])
+        for n, k in zip(points[stuck >= 0], stuck[stuck >= 0]):
+            failures.record(np.arange(n_points) == n, SteadyStateError,
+                            f"state {k} has no outflow to the states below it")
+        points, q = points[stuck < 0], q[stuck < 0]
+        if on_dark:
+            q *= 1.0 - rho44[points, None]
+            p[points, DARK_STATE] = rho44[points]
+        p[points[:, None], keep] = q
+        groups.append((points, keep))
+    return _Steady(t, W, p, groups, failures)
+
+
+class Solution(NamedTuple):
+    """Results of one `solve` call; row n belongs to the n-th operating point.
+
+    populations: (N, 8) steady populations, NaN rows where the steady state
+    failed.  currents: (N, 3) heat currents (Q_L, Q_M, Q_R) of those
+    populations, and residual: (N,) their max|W p|.  alpha: (N, 2)
+    amplification factors (alpha_L, alpha_R), NaN where not requested or
+    failed.  errors: per point None, or the typed domain error that stopped
+    it (only alpha, where the populations are finite).
+    """
+
+    populations: np.ndarray
+    currents: np.ndarray
+    residual: np.ndarray
+    alpha: np.ndarray
+    errors: list[Exception | None]
+
+
+def solve(
+    params: Sequence[SystemParams],
+    rho44_init: Sequence[float | None] | None = None,
+    control: str | None = None,
+) -> Solution:
+    """Steady states, heat currents and amplification factors of N points.
+
+    rho44_init[n] pins the dark-state population of point n; it must be
+    given exactly where params[n] has fully common coupling (default: no
+    pins).  With a control terminal, alpha_{L,R} = (dQ_{L,R}/dT) /
+    (dQ_M/dT) for T = T_control by linear response: dnbar/dT =
+    nbar (nbar + 1) w / T^2 on that reservoir's rows gives dW/dT, and the
+    steady-state derivative p' solves W p' = -(dW/dT) p with sum(p') = 0.
+
+    A point that fails records its typed error, in the order the checks
+    run: UnderdeterminedError or OverdeterminedError for a missing or
+    superfluous pin, ParameterError for a pin outside [0, 1] or an
+    undefined nbar, SteadyStateError for a state without outflow,
+    DegenerateControlError where dQ_M/dT == 0.  The other points are solved
+    as if it were absent.  Only an unknown control terminal raises.
+    """
+    if control is not None and control not in RESERVOIRS:
+        raise ParameterError("control terminal must be one of 'L', 'M', 'R'")
+    if rho44_init is None:
+        rho44_init = [None] * len(params)
+    if len(rho44_init) != len(params):
+        raise ValueError("rho44_init needs one entry (a pin or None) per parameter set")
+    t, W, p, groups, failures = _steady(params, rho44_init)
+    flow = _flow(t.down, t.up, p)
+    currents = _currents(t, flow)
+    residual = np.max(np.abs(_rate_of_change(flow)), axis=1)
+
+    alpha = np.full((len(p), 2), np.nan)
+    if control is not None:
+        on = ROW_RESERVOIR == RESERVOIRS.index(control)
+        d_rate = np.where(on, t.rate * t.nbar * (t.nbar + 1.0) * t.omega / (t.T * t.T), 0.0)
+        # dW p as the matrix product the scalar linear response used, so
+        # alpha stays bit-identical to it
+        dWp = np.matmul(_generator(d_rate, d_rate), p[:, :, None])[:, :, 0]
+        dp = np.zeros_like(p)
+        for points, keep in groups:
+            dp[points] = _steady_derivative(W[points], dWp[points], p[points], keep)
+        dQ = _currents(t, _flow(t.down, t.up, dp)) + _currents(t, _flow(d_rate, d_rate, p))
+        failures.record(dQ[:, 1] == 0.0, DegenerateControlError,
+                        f"dQ_M/dT_{control} vanishes at this operating point")
+        ok = failures.ok
+        alpha[ok] = dQ[ok][:, [0, 2]] / dQ[ok, 1:2]
+    return Solution(p, currents, residual, alpha, failures.errors)
+
+
+def _solve_point(
     params: SystemParams,
     rho44_init: float | None = None,
-    W: np.ndarray | None = None,
-) -> np.ndarray:
+    control: str | None = None,
+) -> Solution:
+    """`solve` for one point; its domain error, if any, is raised."""
+    sol = solve([params], [rho44_init], control)
+    _raise_first(sol.errors)
+    return sol
+
+
+def steady_state(params: SystemParams, rho44_init: float | None = None) -> np.ndarray:
     """Stationary population vector of the rate equation.
 
     GTH state reduction on the off-diagonal rates of W keeps populations as
     small as 1e-30 to full relative precision.  For a unique steady state
     rho44_init must be absent.  At fully common coupling the dark state 3
     (0-based) decouples and its conserved population must be pinned: the
-    other seven states are solved and scaled to 1 - rho44_init.
+    other seven states are solved and scaled to 1 - rho44_init.  This is
+    the first stage of `solve` for one point.
     """
-    if params.fully_common and rho44_init is None:
-        raise UnderdeterminedError("fully common coupling leaves the dark-state "
-                                   "population free; supply rho44_init")
-    if not params.fully_common and rho44_init is not None:
-        raise OverdeterminedError("steady state is unique; rho44_init must not be supplied")
-    if rho44_init is not None and not (0.0 <= rho44_init <= 1.0):
-        raise ParameterError("rho44_init must lie in [0, 1]")
-    if W is None:
-        W = rate_matrix(params)
-    keep = _solved_states(params)
-    p = np.zeros(8)
-    p[keep] = _gth(W[np.ix_(keep, keep)])
-    if rho44_init is not None:
-        p *= 1.0 - rho44_init
-        p[DARK_STATE] = rho44_init
-    return p
-
-
-def _steady_derivative(params: SystemParams, W: np.ndarray, dW: np.ndarray,
-                       p: np.ndarray) -> np.ndarray:
-    """First-order change p' of the steady state p when W changes by dW.
-
-    Solves W p' = -dW p with sum(p') = 0 on the solved states.  One balance
-    row is redundant (the columns of W sum to zero) and gives way to the
-    normalisation: the row of the most populated state, so that every small
-    population keeps its own balance equation.
-    """
-    keep = _solved_states(params)
-    A = W[np.ix_(keep, keep)]
-    b = -(dW @ p)[keep]
-    r = int(np.argmax(p[keep]))
-    A[r] = 1.0
-    b[r] = 0.0
-    dp = np.zeros(8)
-    dp[keep] = np.linalg.solve(A, b)
-    return dp
+    steady = _steady([params], [rho44_init])
+    _raise_first(steady.failures.errors)
+    return steady.populations[0]
 
 
 def _check_populations(p: np.ndarray) -> np.ndarray:
@@ -390,13 +617,19 @@ def apply_drive(state: np.ndarray, drive: DriveSpec) -> np.ndarray:
 
 
 def slowest_relaxation_rate(W: np.ndarray) -> float:
-    """Smallest nonzero decay rate |Re eigenvalue| of the rate matrix."""
-    ev = np.linalg.eigvals(W)
-    rates = np.abs(ev.real)
-    rates = rates[rates > KERNEL_RTOL * np.max(np.abs(W))]
-    if rates.size == 0:
+    """Smallest decay rate |Re eigenvalue| of the rate matrix W.
+
+    W has one stationary mode, plus one more for every state whose row and
+    column are identically zero (the dark state at fully common coupling).
+    Exactly those smallest rates are dropped, however close to zero the
+    next one is: near the dark state the slow mode falls as (1 - lambda)^2.
+    """
+    isolated = np.all(W == 0.0, axis=0) & np.all(W == 0.0, axis=1)
+    rates = np.sort(np.abs(np.linalg.eigvals(W).real))
+    stationary = 1 + int(np.count_nonzero(isolated))
+    if stationary >= rates.size or not rates[stationary] > 0.0:
         raise SteadyStateError("rate matrix has no relaxing mode")
-    return float(rates.min())
+    return float(rates[stationary])
 
 
 def relaxation_horizon(W: np.ndarray, decades: float = 18.0) -> float:

@@ -1,10 +1,12 @@
 """Reproducible sweep runs: configs, parameter grids, CSV emission.
 
 A run is defined by a flat key = value config (one assignment per line,
-'#' comments) naming the base parameters plus a sweep axis.  Every output
-row carries the resolved inputs needed to reproduce it, numbers are
-written with 17 significant digits and no timestamps enter the data, so
-identical configs yield bit-identical files.
+'#' comments) naming the base parameters plus a sweep axis.  Every command
+solves all of its operating points in one call of the batched kernel
+dynamics.solve (run_modulation in two, as its second state depends on the
+first).  Every output row carries the resolved inputs needed to reproduce
+it, numbers are written with 17 significant digits and no timestamps enter
+the data, so identical configs yield bit-identical files.
 """
 
 from __future__ import annotations
@@ -12,20 +14,13 @@ from __future__ import annotations
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import DriveSpec, SteadyStateError, apply_drive, steady_state
+from .dynamics import DriveSpec, Solution, _raise_first, _solve_point, apply_drive, solve
 from .model import ParameterError, SecularReport, SystemParams, validate_secular
-from .observables import (
-    AmplificationResult,
-    DegenerateControlError,
-    HeatCurrentTriple,
-    amplification_factor,
-    heat_currents,
-)
+from .observables import AmplificationResult, HeatCurrentTriple
 
 SWEEP_AXES = (
     "T_L", "T_M", "T_R",
@@ -103,7 +98,11 @@ class SweepSpec:
 
 @dataclass(frozen=True)
 class RunRecord:
-    """One fully resolved sweep point with everything needed to re-run it."""
+    """One fully resolved sweep point with everything needed to re-run it.
+
+    wall_time is the point's share of its sweep: the time of the one
+    batched solve (and the secular checks) over the number of points.
+    """
 
     axis_value: float
     params: SystemParams
@@ -116,48 +115,54 @@ class RunRecord:
     error: str | None = None
 
 
-def _run_point(args: tuple[SweepSpec, float]) -> RunRecord:
-    spec, value = args
+def _currents_of(sol: Solution, n: int) -> HeatCurrentTriple:
+    return HeatCurrentTriple(*map(float, sol.currents[n]),
+                             steady_residual=float(sol.residual[n]))
+
+
+def _secular_key(params: SystemParams) -> tuple[float, ...]:
+    # every input validate_secular reads
+    return (params.omega_L, params.omega_M, params.g,
+            params.gamma_L, params.gamma_M, params.gamma_R)
+
+
+def run_sweep(spec: SweepSpec) -> list[RunRecord]:
+    """Evaluate every grid point in one batched solve; output follows the grid.
+
+    A point whose solve fails keeps its populations and currents when only
+    alpha failed, and records its domain error; the other points are
+    unaffected.
+    """
     t0 = time.perf_counter()
-    params, rho44 = spec.resolve(value)
-    secular = validate_secular(params)
-    populations = currents = amplification = None
-    error = None
-    try:
-        if params.fully_common and rho44 is None:
-            raise SteadyStateError(
-                "fully common coupling requires rho44_init in the config"
-            )
-        populations = steady_state(params, rho44_init=rho44)
-        if "currents" in spec.outputs:
-            currents = heat_currents(params, populations)
-        if "alpha" in spec.outputs:
-            amplification = amplification_factor(
-                params, control=spec.control, rho44_init=rho44
-            )
-    except (SteadyStateError, DegenerateControlError, ParameterError) as exc:
-        # domain failures are data and the run continues; anything else is a bug
-        error = f"{type(exc).__name__}: {exc}"
-    return RunRecord(
-        axis_value=float(value),
-        params=params,
-        rho44_init=rho44,
-        populations=populations,
-        currents=currents,
-        amplification=amplification,
-        secular=secular,
-        wall_time=time.perf_counter() - t0,
-        error=error,
-    )
+    values = spec.values()
+    params, pins = zip(*(spec.resolve(value) for value in values))
+    want_alpha = "alpha" in spec.outputs
+    sol = solve(params, pins, spec.control if want_alpha else None)
+    secular: dict[tuple[float, ...], SecularReport] = {}
+    for point in params:
+        key = _secular_key(point)
+        if key not in secular:
+            secular[key] = validate_secular(point)
+    share = (time.perf_counter() - t0) / len(values)
 
-
-def run_sweep(spec: SweepSpec, workers: int = 1) -> list[RunRecord]:
-    """Evaluate every grid point; output order always follows the grid."""
-    jobs = [(spec, v) for v in spec.values()]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_run_point, jobs))
-    return [_run_point(job) for job in jobs]
+    records = []
+    for n, (value, point, rho44, error) in enumerate(zip(values, params, pins, sol.errors)):
+        solved = not np.isnan(sol.populations[n, 0])
+        amplification = None
+        if want_alpha and error is None:
+            amplification = AmplificationResult(*map(float, sol.alpha[n]), spec.control)
+        records.append(RunRecord(
+            axis_value=float(value),
+            params=point,
+            rho44_init=rho44,
+            populations=sol.populations[n] if solved else None,
+            currents=_currents_of(sol, n) if solved and "currents" in spec.outputs else None,
+            amplification=amplification,
+            secular=secular[_secular_key(point)],
+            wall_time=share,
+            error=None if error is None else f"{type(error).__name__}: {error}",
+        ))
+    return records
 
 
 def sweep_rows(records: list[RunRecord]) -> list[str]:
@@ -219,8 +224,9 @@ def run_modulation(
     """
     if not params.fully_common:
         raise DarkStateError("modulation requires lambda1 = lambda2 = lambda3 = 1")
-    p_before = steady_state(params, rho44_init=rho44_initial)
-    q_before = heat_currents(params, p_before)
+    before = _solve_point(params, rho44_initial)
+    p_before = before.populations[0]
+    q_before = _currents_of(before, 0)
 
     period = math.pi / drive.Omega
     times = np.linspace(0.0, period, trajectory_points)
@@ -230,8 +236,7 @@ def run_modulation(
 
     p_pulsed = apply_drive(p_before, drive)
     rho44_after = float(p_pulsed[a])
-    p_after = steady_state(params, rho44_init=rho44_after)
-    q_after = heat_currents(params, p_after)
+    q_after = _currents_of(_solve_point(params, rho44_after), 0)
 
     before = q_before.as_array()
     after = q_after.as_array()
@@ -278,12 +283,12 @@ def run_populations(
     if points < 2:
         raise ConfigError("population sweep needs at least 2 points")
     values = np.linspace(lo, hi, points)
-    pops, pops_cmp = (
-        np.array([steady_state(base.replace(T_M=float(T_M)),
-                               rho44_init=rho44_init if base.fully_common else None)
-                  for T_M in values])
-        for base in (params, params.replace(lambda1=compare_lambda1))
-    )
+    curves = [base.replace(T_M=float(T_M))
+              for base in (params, params.replace(lambda1=compare_lambda1))
+              for T_M in values]
+    sol = solve(curves, [rho44_init if p.fully_common else None for p in curves])
+    _raise_first(sol.errors)
+    pops, pops_cmp = sol.populations[:points], sol.populations[points:]
     return PopulationCurves(
         axis_values=values,
         populations=pops,

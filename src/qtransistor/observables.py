@@ -15,22 +15,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import (
+    DegenerateControlError,
     SteadyStateError,
     _currents,
-    _generator,
-    _steady_derivative,
-    _transitions,
+    _flow,
+    _point_table,
+    _rate_of_change,
+    _solve_point,
     dissipator_superoperator,
     rate_matrix,
+    solve,
     steady_state,
 )
-from .model import RESERVOIRS, ParameterError, SystemParams, analytic_eigensystem
+from .model import ParameterError, SystemParams, analytic_eigensystem
 
 STEADY_RESIDUAL_TOL = 1e-8
-
-
-class DegenerateControlError(ArithmeticError):
-    """The control current does not respond to the control temperature."""
 
 
 class SingularDenominatorError(ArithmeticError):
@@ -84,11 +83,10 @@ def heat_currents(params: SystemParams, p: np.ndarray) -> HeatCurrentTriple:
     w * (upward flux - downward flux); summing a reservoir's eight pairs
     gives its current.
     """
-    p = np.asarray(p, dtype=float)
-    t = _transitions(params)
-    residual = float(np.max(np.abs(_generator(t, t.down, t.up) @ p)))
-    Q = _currents(t, t.down, t.up, p)
-    return HeatCurrentTriple(*map(float, Q), steady_residual=residual)
+    t = _point_table(params)
+    flow = _flow(t.down, t.up, np.asarray(p, dtype=float)[None])
+    residual = float(np.max(np.abs(_rate_of_change(flow))))
+    return HeatCurrentTriple(*map(float, _currents(t, flow)[0]), steady_residual=residual)
 
 
 def heat_currents_trace(params: SystemParams, p: np.ndarray) -> HeatCurrentTriple:
@@ -125,19 +123,8 @@ def amplification_factor(
     population when the fully common coupling makes the steady state
     non-unique.
     """
-    if control not in RESERVOIRS:
-        raise ParameterError("control terminal must be one of 'L', 'M', 'R'")
-    t = _transitions(params)
-    W = _generator(t, t.down, t.up)
-    p = steady_state(params, rho44_init=rho44_init, W=W)
-    T = params.temperature(control)
-    on = t.reservoir == RESERVOIRS.index(control)
-    d_rate = np.where(on, t.rate * t.nbar * (t.nbar + 1.0) * t.omega / (T * T), 0.0)
-    dp = _steady_derivative(params, W, _generator(t, d_rate, d_rate), p)
-    dQ = _currents(t, t.down, t.up, dp) + _currents(t, d_rate, d_rate, p)
-    if dQ[1] == 0.0:
-        raise DegenerateControlError(f"dQ_M/dT_{control} vanishes at this operating point")
-    return AmplificationResult(float(dQ[0] / dQ[1]), float(dQ[2] / dQ[1]), control)
+    alpha_L, alpha_R = _solve_point(params, rho44_init, control).alpha[0]
+    return AmplificationResult(float(alpha_L), float(alpha_R), control)
 
 
 # closed-form reduction: active states (0-based) once the dark state 3 is
@@ -256,17 +243,17 @@ def optimize_lambda(
         grids = tuple(np.linspace(0.0, 1.0, resolution) for _ in free)
 
     shape = tuple(g.size for g in grids)
-    alpha = np.full(shape, np.nan)
-    n_failed = 0
-    for idx in itertools.product(*(range(n) for n in shape)):
-        values = {name: float(grids[ax][i]) for ax, (name, i) in enumerate(zip(free, idx))}
-        point = params_base.replace(**values)
-        pin = rho44_init if point.fully_common else None
-        try:
-            res = amplification_factor(point, control=control, rho44_init=pin)
-            alpha[idx] = res.alpha_L
-        except (DegenerateControlError, SteadyStateError):
-            n_failed += 1
+    points = [
+        params_base.replace(**{name: float(grids[ax][i])
+                               for ax, (name, i) in enumerate(zip(free, idx))})
+        for idx in itertools.product(*(range(n) for n in shape))
+    ]
+    sol = solve(points, [rho44_init if p.fully_common else None for p in points], control)
+    for error in sol.errors:
+        if error is not None and not isinstance(error, (DegenerateControlError, SteadyStateError)):
+            raise error
+    alpha = sol.alpha[:, 0].reshape(shape)
+    n_failed = sum(error is not None for error in sol.errors)
 
     if np.all(np.isnan(alpha)):
         raise DegenerateControlError("no valid grid point in the lambda scan")

@@ -37,13 +37,6 @@ def test_sweep_stdout(capsys):
     assert len(lines) == 3
 
 
-def test_sweep_workers_match(tmp_path):
-    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    assert main(["sweep", "--config", "fig9a", "--out", str(a)]) == 0
-    assert main(["sweep", "--config", "fig9a", "--out", str(b), "--workers", "2"]) == 0
-    assert a.read_bytes() == b.read_bytes()
-
-
 def test_bad_config_exit_code(capsys):
     assert main(["sweep", "--config", "does-not-exist"]) == 2
     assert "error:" in capsys.readouterr().err

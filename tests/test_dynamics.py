@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qtransistor import (
+    DegenerateControlError,
     DriveSpec,
     OverdeterminedError,
     ParameterError,
@@ -23,7 +24,8 @@ from qtransistor import (
     rate_matrix,
     steady_state,
 )
-from qtransistor.dynamics import relaxation_horizon
+from qtransistor.channels import channels_analytic
+from qtransistor.dynamics import relaxation_horizon, slowest_relaxation_rate, solve
 
 from conftest import random_params
 
@@ -236,6 +238,122 @@ class TestSteadyState:
         p = steady_state(fig2_params)
         assert abs(p.sum() - 1.0) < 1e-12
         assert p.min() >= 0.0
+
+
+def scalar_rate_matrix(params):
+    """W assembled one channel amplitude at a time from channels_analytic
+    and bose_occupation, the scalar closed forms the kernel vectorises."""
+    eig = analytic_eigensystem(params)
+    W = np.zeros((8, 8))
+    for ch in channels_analytic(params, eig):
+        gamma = params.decay_rate(ch.reservoir)
+        for i, j, a in ch.amplitudes:
+            w = eig.eigenvalues[j] - eig.eigenvalues[i]
+            n = bose_occupation(w, params.temperature(ch.reservoir))
+            W[i, j] = gamma * a * a * (n + 1.0)
+            W[j, i] = gamma * a * a * n
+    W[np.diag_indices(8)] -= W.sum(axis=0)
+    return W
+
+
+def mixed_draws(n=200, seed=2031):
+    """Validated-regime draws, every tenth dark-pinned with a seeded rho44."""
+    rng = np.random.default_rng(seed)
+    params, pins = [], []
+    for k in range(n):
+        if k % 10 == 0:
+            params.append(random_params(rng, lambdas=(1.0, 1.0, 1.0)))
+            pins.append(float(rng.uniform(0.0, 0.98)))
+        else:
+            params.append(random_params(rng))
+            pins.append(None)
+    return params, pins
+
+
+class TestBatchedKernel:
+    def test_table_matches_scalar_closed_forms_bit_for_bit(self):
+        for params in mixed_draws(40)[0]:
+            assert np.array_equal(rate_matrix(params), scalar_rate_matrix(params))
+
+    def test_batch_matches_single_point_calls(self):
+        params, pins = mixed_draws()
+        batch = solve(params, pins, control="M")
+        assert batch.populations.shape == (200, 8)
+        for n, (point, pin) in enumerate(zip(params, pins)):
+            single = solve([point], [pin], control="M")
+            assert batch.errors[n] is None and single.errors[0] is None
+            np.testing.assert_allclose(batch.populations[n], single.populations[0],
+                                       rtol=POPULATION_RTOL, atol=0)
+            Q = single.currents[0]
+            assert np.max(np.abs(batch.currents[n] - Q)) <= 1e-13 * np.max(np.abs(Q))
+            np.testing.assert_allclose(batch.alpha[n], single.alpha[0], rtol=1e-12, atol=0)
+
+    def test_failed_points_do_not_disturb_the_batch(self, fig2_params, dark_params):
+        lam = 1.0 - 1e-13  # every amplitude of state 3 is cut: no outflow
+        points = [fig2_params, dark_params, fig2_params.replace(lambda1=lam, lambda2=lam,
+                                                                lambda3=lam),
+                  fig2_params, dark_params, fig2_params.replace(T_M=0.001)]
+        pins = [None, None, None, 0.3, 1.5, None]
+        sol = solve(points, pins, control="M")
+        expected = [None, UnderdeterminedError, SteadyStateError, OverdeterminedError,
+                    ParameterError, DegenerateControlError]
+        assert [type(e) if e is not None else None for e in sol.errors] == expected
+        assert np.all(np.isnan(sol.populations[1:5]))
+        np.testing.assert_array_equal(sol.populations[0], steady_state(fig2_params))
+        # only alpha failed at the frozen control bath
+        np.testing.assert_array_equal(sol.populations[5],
+                                      steady_state(fig2_params.replace(T_M=0.001)))
+        assert np.all(np.isnan(sol.alpha[5]))
+
+    def test_malformed_call_raises(self, fig2_params):
+        with pytest.raises(ParameterError):
+            solve([fig2_params], control="X")
+        with pytest.raises(ValueError, match="one entry"):
+            solve([fig2_params, fig2_params], [None])
+
+    def test_mp_reference_cases_in_one_batch(self, fig2_params, dark_params):
+        # the 32-ulp cases of TestSteadyState, solved together
+        cold = fig2_params.replace(T_L=1.0, T_M=0.05, T_R=0.05)
+        near = [fig2_params.replace(lambda1=1.0 - 10.0 ** -u, lambda2=1.0 - 10.0 ** -u,
+                                    lambda3=1.0 - 10.0 ** -u) for u in (2, 5, 8)]
+        points = [cold, *near, dark_params]
+        pins = [None, None, None, None, 0.3]
+        sol = solve(points, pins)
+        for n, (point, pin) in enumerate(zip(points, pins)):
+            ref = mp_steady_state(rate_matrix(point), rho44_init=pin)
+            np.testing.assert_allclose(sol.populations[n], ref, rtol=POPULATION_RTOL, atol=0)
+
+
+def mp_relaxation_rates(W, digits=50):
+    """Oracle: |Re| of the eigenvalues of W in `digits`-digit arithmetic, ascending."""
+    with mpmath.workdps(digits):
+        ev = mpmath.eig(mpmath.matrix(W.tolist()), left=False, right=False)
+        return [float(r) for r in sorted(abs(mpmath.re(e)) for e in ev)]
+
+
+class TestRelaxation:
+    @pytest.mark.parametrize("u", [2, 4, 6])
+    def test_slow_near_dark_mode(self, fig2_params, u):
+        # the slow mode falls as (1 - lambda)^2 (4.2e-15 at u = 6) and must
+        # not be mistaken for the stationary one
+        lam = 1.0 - 10.0 ** -u
+        W = rate_matrix(fig2_params.replace(lambda1=lam, lambda2=lam, lambda3=lam))
+        slow = mp_relaxation_rates(W)[1]
+        assert slowest_relaxation_rate(W) == pytest.approx(slow, rel=1e-3)
+
+    def test_slow_mode_below_eigenvalue_resolution(self, fig2_params):
+        # at u = 8 the slow mode (4e-19) is below what eigvals resolves; the
+        # rate returned must still be a slow one, not the fast 2.9e-3
+        lam = 1.0 - 1e-8
+        W = rate_matrix(fig2_params.replace(lambda1=lam, lambda2=lam, lambda3=lam))
+        assert slowest_relaxation_rate(W) <= 1e-15
+
+    def test_dark_state_mode_is_dropped(self, dark_params):
+        # the decoupled dark state adds a second stationary mode
+        W = rate_matrix(dark_params)
+        rates = mp_relaxation_rates(W)
+        assert rates[1] < 1e-15
+        assert slowest_relaxation_rate(W) == pytest.approx(rates[2], rel=1e-9)
 
 
 class TestEvolvePopulations:

@@ -137,7 +137,7 @@ class TestRunSweep:
         def broken(*args, **kwargs):
             raise TypeError("broken layer")
 
-        monkeypatch.setattr("qtransistor.experiments.heat_currents", broken)
+        monkeypatch.setattr("qtransistor.dynamics._currents", broken)
         spec = SweepSpec(base=fig2_params, axis="T_M", lo=0.5, hi=1.5, points=2,
                          outputs=("currents",))
         with pytest.raises(TypeError, match="broken layer"):
@@ -160,12 +160,24 @@ class TestRunSweep:
         assert first[-2] == "PASS"
         assert first[-1] == ""
 
-    def test_worker_pool_matches_serial(self, fig2_params):
-        spec = SweepSpec(base=fig2_params, axis="g", lo=0.1, hi=0.5, points=4,
-                         outputs=("currents",))
-        serial = sweep_rows(run_sweep(spec, workers=1))
-        parallel = sweep_rows(run_sweep(spec, workers=2))
-        assert serial == parallel
+    def test_failed_point_leaves_the_other_rows_unchanged(self, fig2_params):
+        # at T_M = 0.001 the control bath's occupations underflow to zero, so
+        # alpha alone is undefined there; the batch solves the other points
+        # exactly as a sweep without that point does
+        spec = SweepSpec(base=fig2_params, axis="T_M", lo=0.001, hi=3.001, points=4)
+        rest = SweepSpec(base=fig2_params, axis="T_M", lo=1.001, hi=3.001, points=3)
+        assert list(spec.values()[1:]) == list(rest.values())
+        records = run_sweep(spec)
+        assert records[0].error.startswith("DegenerateControlError: ")
+        assert records[0].amplification is None
+        assert records[0].populations is not None and records[0].currents is not None
+        assert all(rec.error is None for rec in records[1:])
+        assert sweep_rows(records)[1:] == sweep_rows(run_sweep(rest))
+
+    def test_wall_time_is_the_share_of_the_batch(self, fig2_params):
+        spec = SweepSpec(base=fig2_params, axis="T_M", lo=0.5, hi=1.5, points=3)
+        times = {rec.wall_time for rec in run_sweep(spec)}
+        assert len(times) == 1 and times.pop() > 0.0
 
     @pytest.mark.parametrize("preset", ["fig5b", "fig9a", "fig7a"])
     def test_emitted_rows_conserve_energy(self, preset):
