@@ -148,6 +148,15 @@ def _ket(label: str) -> np.ndarray:
     return v
 
 
+def analytic_eigenvalues(params: SystemParams) -> np.ndarray:
+    """Closed-form eigenvalues in the pairing order (R, L, M, 4 | 4, M, L, R)."""
+    g = params.g
+    eR = math.sqrt(params.omega_R ** 2 + g * g)
+    eL = math.sqrt(params.omega_L ** 2 + g * g)
+    eM = math.sqrt(params.omega_M ** 2 + g * g)
+    return np.array([-eR, -eL, -eM, -g, g, eM, eL, eR])
+
+
 def analytic_eigensystem(params: SystemParams) -> EigenSystem:
     """Closed-form eigenvalues, mixing angles and eigenvectors.
 
@@ -161,10 +170,7 @@ def analytic_eigensystem(params: SystemParams) -> EigenSystem:
         beta_M=mixing_angle(params.omega_M, g),
         beta_4=mixing_angle(0.0, g),
     )
-    eR = math.sqrt(params.omega_R ** 2 + g * g)
-    eL = math.sqrt(params.omega_L ** 2 + g * g)
-    eM = math.sqrt(params.omega_M ** 2 + g * g)
-    eigenvalues = np.array([-eR, -eL, -eM, -g, g, eM, eL, eR])
+    eigenvalues = analytic_eigenvalues(params)
 
     cR, sR = math.cos(angles.beta_R), math.sin(angles.beta_R)
     cL, sL = math.cos(angles.beta_L), math.sin(angles.beta_L)
@@ -236,7 +242,7 @@ def validate_secular(params: SystemParams) -> SecularReport:
     min_omega = min(params.omega_L, params.omega_M, params.omega_R)
     ratio = 2.0 * params.g / max_gamma
     omega_over_g = math.inf if params.g == 0 else min_omega / params.g
-    gap = min_distinct_bohr_gap(analytic_eigensystem(params).eigenvalues)
+    gap = min_distinct_bohr_gap(analytic_eigenvalues(params))
 
     warns = []
     if ratio < SECULAR_RATIO_THRESHOLD:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from decimal import Decimal, getcontext
 
@@ -13,6 +14,7 @@ from qtransistor import (
     OverdeterminedError,
     ParameterError,
     SteadyStateError,
+    SystemParams,
     UnderdeterminedError,
     analytic_eigensystem,
     apply_drive,
@@ -24,6 +26,7 @@ from qtransistor import (
     rate_matrix,
     steady_state,
 )
+from qtransistor import dynamics, heat_currents
 from qtransistor.channels import channels_analytic
 from qtransistor.dynamics import relaxation_horizon, slowest_relaxation_rate, solve
 
@@ -322,6 +325,88 @@ class TestBatchedKernel:
         for n, (point, pin) in enumerate(zip(points, pins)):
             ref = mp_steady_state(rate_matrix(point), rho44_init=pin)
             np.testing.assert_allclose(sol.populations[n], ref, rtol=POPULATION_RTOL, atol=0)
+
+
+def fresh(call, *args, **kwargs):
+    """call(*args) with no transition table kept from an earlier call."""
+    dynamics._last_table = None
+    return call(*args, **kwargs)
+
+
+def query(params, rho44_init=None):
+    """steady_state then heat_currents, as arrays: p, (Q_L, Q_M, Q_R, residual)."""
+    p = steady_state(params, rho44_init=rho44_init)
+    q = heat_currents(params, p)
+    return p, np.array([q.Q_L, q.Q_M, q.Q_R, q.steady_residual])
+
+
+@pytest.fixture
+def table_builds(monkeypatch):
+    """Counts the transition tables built from scratch (memo misses)."""
+    builds = []
+    amplitudes = dynamics.transition_amplitudes
+
+    def counted(*args):
+        builds.append(1)
+        return amplitudes(*args)
+
+    monkeypatch.setattr(dynamics, "transition_amplitudes", counted)
+    monkeypatch.setattr(dynamics, "_last_table", None)
+    return builds
+
+
+class TestTableMemo:
+    def test_interleaved_points_match_fresh_calls(self, fig2_params, dark_params):
+        cases = [(fig2_params, None), (dark_params, 0.25)]
+        expected = [(fresh(rate_matrix, x), *fresh(query, x, pin)) for x, pin in cases]
+        for k in (0, 1, 0, 1, 0):
+            (x, pin), (W, p, q) = cases[k], expected[k]
+            assert rate_matrix(x).tobytes() == W.tobytes()
+            got_p, got_q = query(x, pin)
+            assert got_p.tobytes() == p.tobytes() and got_q.tobytes() == q.tobytes()
+
+    @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(SystemParams)])
+    def test_one_ulp_in_any_input_misses(self, fig2_params, table_builds, field):
+        rate_matrix(fig2_params)
+        nudged = fig2_params.replace(
+            **{field: float(np.nextafter(getattr(fig2_params, field), np.inf))})
+        W = rate_matrix(nudged)
+        assert len(table_builds) == 2
+        assert W.tobytes() == scalar_rate_matrix(nudged).tobytes()
+
+    def test_hit_returns_the_stored_table(self, fig2_params, table_builds):
+        x = dynamics._inputs([fig2_params])
+        first = dynamics._table(x)
+        again = dynamics._table(x.copy())
+        assert again is first and len(table_builds) == 1
+        p = steady_state(fig2_params)
+        heat_currents(fig2_params, p)
+        assert len(table_builds) == 1
+
+    def test_kept_arrays_are_read_only(self, fig2_params):
+        table, undefined = dynamics._table(dynamics._inputs([fig2_params]))
+        for array in (*table, undefined):
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0
+
+    def test_undefined_nbar_leaves_the_next_call_correct(self, fig2_params):
+        expected = fresh(query, fig2_params)
+        bad = fig2_params.replace(omega_M=30.0)  # omega_M > omega_L: a row at omega < 0
+        for _ in range(2):
+            with pytest.raises(ParameterError, match="omega > 0"):
+                steady_state(bad)
+            with pytest.raises(ParameterError, match="omega > 0"):
+                heat_currents(bad, expected[0])
+            p, q = query(fig2_params)
+            assert p.tobytes() == expected[0].tobytes() and q.tobytes() == expected[1].tobytes()
+
+    def test_query_equals_the_kernel(self):
+        for params, pin in zip(*mixed_draws(40, seed=77)):
+            p, q = query(params, pin)
+            sol = fresh(solve, [params], [pin])
+            assert p.tobytes() == sol.populations[0].tobytes()
+            assert q[:3].tobytes() == sol.currents[0].tobytes()
+            assert q[3] == sol.residual[0]
 
 
 def mp_relaxation_rates(W, digits=50):

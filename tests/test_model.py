@@ -13,7 +13,7 @@ from qtransistor import (
     mixing_angle,
     validate_secular,
 )
-from qtransistor.model import basis_index, min_distinct_bohr_gap
+from qtransistor.model import analytic_eigenvalues, basis_index, min_distinct_bohr_gap
 
 from conftest import random_params
 
@@ -173,6 +173,22 @@ class TestValidateSecular:
         assert report.min_bohr_gap == pytest.approx(
             min_distinct_bohr_gap(eig.eigenvalues))
         assert 0.0 < report.min_bohr_gap < 1.0
+
+    def test_bohr_gap_is_bit_identical_to_the_eigensystem_route(self, fig2_params):
+        # the closed-form eigenvalues written out: the helper, the
+        # eigensystem and the secular check must all give these bits
+        rng = np.random.default_rng(29)
+        draws = [random_params(rng) for _ in range(200)]
+        draws += [fig2_params.replace(g=0.0), fig2_params.replace(omega_L=2.0, omega_M=2.0)]
+        for params in draws:
+            g = params.g
+            eR = math.sqrt(params.omega_R ** 2 + g * g)
+            eL = math.sqrt(params.omega_L ** 2 + g * g)
+            eM = math.sqrt(params.omega_M ** 2 + g * g)
+            old = np.array([-eR, -eL, -eM, -g, g, eM, eL, eR])
+            assert analytic_eigenvalues(params).tobytes() == old.tobytes()
+            assert analytic_eigensystem(params).eigenvalues.tobytes() == old.tobytes()
+            assert validate_secular(params).min_bohr_gap == min_distinct_bohr_gap(old)
 
 
 def test_random_regime_eigensystems():
