@@ -4,17 +4,17 @@ In the energy eigenbasis the populations close on themselves: they obey a
 classical rate equation p' = W p.  One batched kernel, `solve`, computes
 every per-point number of the package.  For N operating points it builds
 the transition table as (N, 24) arrays (a row per channel amplitude, in
-the order of channels.TRANSITIONS), assembles W as (N, 8, 8), finds the
-steady states by GTH state reduction, takes the heat currents and the
-residual max|W p| from the same rows, and gets the amplification factors
-from one batched linear-response solve; nothing in it loops over points
-or channels.  rate_matrix, steady_state and (in observables)
-heat_currents and amplification_factor are its N = 1 calls.  The last
-table built is kept, keyed on the exact bytes of its input, so the
-second of two calls on the same points (steady_state then heat_currents,
-rate_matrix then steady_state) reuses it instead of rebuilding it; the
-table is a pure function of those bytes, so reuse changes no result.
-Coherences decay independently, so the steady state is diagonal; a full
+the order of channels.TRANSITIONS), assembles W as (N, 8, 8), finds every
+steady state, dark-pinned ones included, by one GTH state reduction, takes
+the heat currents and the residual max|W p| from the same rows, and gets
+the amplification factors from one batched linear-response solve; nothing
+in it loops over points or channels.  rate_matrix, steady_state and (in
+observables) heat_currents and amplification_factor are its N = 1 calls.
+The last single-point table built is kept, keyed on the exact bytes of its
+input, so the second of two calls on the same point (steady_state then
+heat_currents, rate_matrix then steady_state) reuses it; the table is a
+pure function of those bytes, so reuse changes no result.  Coherences
+decay independently, so the steady state is diagonal; a full
 density-matrix propagator is kept as an oracle for that claim.
 """
 
@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .channels import (
     AMPLITUDE_TOL,
@@ -94,10 +93,6 @@ _DOWN = ROW_I * 8 + ROW_J
 _UP = ROW_J * 8 + ROW_I
 _DIAGONAL = np.arange(8) * 9
 
-# states solved for: all eight, or the seven left when the dark state is pinned
-_ALL_STATES = np.arange(8)
-_LIT_STATES = np.delete(_ALL_STATES, DARK_STATE)
-
 
 def _inputs(params: Sequence[SystemParams]) -> np.ndarray:
     """(N, 12) kernel input, columns in _FIELDS order."""
@@ -133,8 +128,8 @@ _POW, _ASIN, _EXP, _EXPM1 = (np.frompyfunc(f, n, 1) for f, n in (
     (math.pow, 2), (math.asin, 1), (math.exp, 1), (math.expm1, 1)))
 
 
-# the last table built: (x.tobytes() of its input, (table, undefined)),
-# always replaced whole, so a reader sees a complete entry or none
+# the last single-point table built: (x.tobytes() of its input, (table,
+# undefined)), always replaced whole, so a reader sees a complete entry or none
 _last_table: tuple[bytes, tuple[_Table, np.ndarray]] | None = None
 
 
@@ -146,13 +141,14 @@ def _table(x: np.ndarray) -> tuple[_Table, np.ndarray]:
     kept row at omega <= 0, where nbar does not exist (bose_occupation
     raises there); temperatures are positive by SystemParams' own checks.
 
-    The result depends on nothing but the values in x, so the last one is
-    kept and returned again, read-only, while x holds the same bytes: a
-    repeated call gets exactly what a rebuild would give.  Only one table
-    is ever held.
+    The result depends on nothing but the values in x, so the last
+    single-point one (only single points are asked for twice in a row:
+    steady_state then heat_currents) is kept and returned again, read-only,
+    while x holds the same bytes: a repeated call gets exactly what a
+    rebuild would give.
     """
     global _last_table
-    key = x.tobytes()
+    key = x.tobytes() if len(x) == 1 else None
     last = _last_table
     if last is not None and last[0] == key:
         return last[1]
@@ -178,7 +174,8 @@ def _table(x: np.ndarray) -> tuple[_Table, np.ndarray]:
               np.any(kept & ~defined, axis=1))
     for array in (*result[0], result[1]):
         array.flags.writeable = False
-    _last_table = (key, result)
+    if key is not None:
+        _last_table = (key, result)
     return result
 
 
@@ -280,25 +277,24 @@ def _gth(A: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
     return p / p.sum(axis=1, keepdims=True), stuck
 
 
-def _steady_derivative(W: np.ndarray, dWp: np.ndarray, p: np.ndarray,
-                       keep: np.ndarray) -> np.ndarray:
+def _steady_derivative(W: np.ndarray, dWp: np.ndarray, p: np.ndarray) -> np.ndarray:
     """First-order change p' of steady states p when W changes by dW.
 
-    Solves W p' = -dW p with sum(p') = 0 on the solved states keep, for
-    each point of the batch (dWp = dW p).  One balance row is redundant (the
-    columns of W sum to zero) and gives way to the normalisation: the row
-    of the most populated state, so that every small population keeps its
-    own balance equation.
+    Solves W p' = -dW p with sum(p') = 0 for each point of the batch
+    (dWp = dW p).  One balance row is redundant (the columns of W sum to
+    zero) and gives way to the normalisation: the row of the most populated
+    state, so that every small population keeps its own balance equation.
+    A drained dark state (see `_steady`) has the row -p'_3 = 0; should it
+    be the row replaced, the seven others still force p'_3 = 0, as they
+    sum to p'_3 by the zero column sums.
     """
-    A = W[:, keep[:, None], keep]
-    b = -dWp[:, keep]
-    r = np.argmax(p[:, keep], axis=1)
+    A = W.copy()
+    b = -dWp
+    r = np.argmax(p, axis=1)
     points = np.arange(len(p))
     A[points, r] = 1.0
     b[points, r] = 0.0
-    dp = np.zeros_like(p)
-    dp[:, keep] = np.linalg.solve(A, b[:, :, None])[:, :, 0]
-    return dp
+    return np.linalg.solve(A, b[:, :, None])[:, :, 0]
 
 
 class _Failures:
@@ -324,20 +320,21 @@ def _raise_first(errors: Sequence[Exception | None]) -> None:
 
 
 class _Steady(NamedTuple):
-    """The first stage of `solve`: tables, generators and steady states.
-
-    groups holds (points, states) per solver branch: the points solved on
-    all eight states, and the dark-pinned ones solved on the other seven.
-    """
+    """The first stage of `solve`: tables, generators (dark states drained) and steady states."""
 
     table: _Table
     W: np.ndarray
     populations: np.ndarray
-    groups: list[tuple[np.ndarray, np.ndarray]]
     failures: _Failures
 
 
 def _steady(params: Sequence[SystemParams], rho44_init: Sequence[float | None]) -> _Steady:
+    """Steady states of N points by one GTH pass over their generators.
+
+    A dark state (fully common coupling) has no rates; drained 3 -> 0 at
+    unit rate it holds no population and leaves the other seven balances
+    as they are, which are then scaled to 1 - rho44, with rho44 at state 3.
+    """
     n_points = len(params)
     x = _inputs(params)
     failures = _Failures(n_points)
@@ -355,27 +352,21 @@ def _steady(params: Sequence[SystemParams], rho44_init: Sequence[float | None]) 
     t, undefined = _table(x)
     failures.record(undefined, ParameterError, _NBAR_UNDEFINED)
     W = _generator(t.down, t.up)
+    W[dark, 0, DARK_STATE] = 1.0
+    W[dark, DARK_STATE, DARK_STATE] = -1.0
 
     p = np.full((n_points, 8), np.nan)
-    groups = []
-    for on_dark, keep in ((False, _ALL_STATES), (True, _LIT_STATES)):
-        points = np.flatnonzero(failures.ok & (dark == on_dark))
-        if points.size == 0:
-            continue
-        q, stuck = _gth(W[np.ix_(points, keep, keep)] if on_dark else W[points])
-        if stuck is not None:
-            for n, k in zip(points[stuck >= 0], stuck[stuck >= 0]):
-                failures.record(np.arange(n_points) == n, SteadyStateError,
-                                f"state {k} has no outflow to the states below it")
-            points, q = points[stuck < 0], q[stuck < 0]
-        if on_dark:
-            q *= 1.0 - rho44[points, None]
-            p[points, DARK_STATE] = rho44[points]
-            p[np.ix_(points, keep)] = q
-        else:
-            p[points] = q
-        groups.append((points, keep))
-    return _Steady(t, W, p, groups, failures)
+    points = np.flatnonzero(failures.ok)
+    q, stuck = _gth(W[points])
+    if stuck is not None:
+        for n, k in zip(points[stuck >= 0], stuck[stuck >= 0]):
+            failures.record(np.arange(n_points) == n, SteadyStateError,
+                            f"state {k} has no outflow to the states below it")
+        points, q = points[stuck < 0], q[stuck < 0]
+    # rho44 is 0 where no pin is set, so this leaves lit points as they are
+    p[points] = q * (1.0 - rho44[points, None])
+    p[points, DARK_STATE] += rho44[points]
+    return _Steady(t, W, p, failures)
 
 
 class Solution(NamedTuple):
@@ -409,6 +400,8 @@ def solve(
     (dQ_M/dT) for T = T_control by linear response: dnbar/dT =
     nbar (nbar + 1) w / T^2 on that reservoir's rows gives dW/dT, and the
     steady-state derivative p' solves W p' = -(dW/dT) p with sum(p') = 0.
+    Dark-pinned points share both solves: their drained dark state (see
+    `_steady`) gets p'_3 = 0.
 
     A point that fails records its typed error, in the order the checks
     run: UnderdeterminedError or OverdeterminedError for a missing or
@@ -423,7 +416,7 @@ def solve(
         rho44_init = [None] * len(params)
     if len(rho44_init) != len(params):
         raise ValueError("rho44_init needs one entry (a pin or None) per parameter set")
-    t, W, p, groups, failures = _steady(params, rho44_init)
+    t, W, p, failures = _steady(params, rho44_init)
     flow = _flow(t.down, t.up, p)
     currents = _currents(t, flow)
     residual = np.max(np.abs(_rate_of_change(flow)), axis=1)
@@ -432,13 +425,11 @@ def solve(
     if control is not None:
         on = ROW_RESERVOIR == RESERVOIRS.index(control)
         d_rate = np.where(on, t.rate * t.nbar * (t.nbar + 1.0) * t.omega / (t.T * t.T), 0.0)
-        # dW p as the matrix product the scalar linear response used, so
-        # alpha stays bit-identical to it
-        dWp = np.matmul(_generator(d_rate, d_rate), p[:, :, None])[:, :, 0]
+        d_flow = _flow(d_rate, d_rate, p)
+        points = np.flatnonzero(failures.ok)
         dp = np.zeros_like(p)
-        for points, keep in groups:
-            dp[points] = _steady_derivative(W[points], dWp[points], p[points], keep)
-        dQ = _currents(t, _flow(t.down, t.up, dp)) + _currents(t, _flow(d_rate, d_rate, p))
+        dp[points] = _steady_derivative(W[points], _rate_of_change(d_flow)[points], p[points])
+        dQ = _currents(t, _flow(t.down, t.up, dp)) + _currents(t, d_flow)
         failures.record(dQ[:, 1] == 0.0, DegenerateControlError,
                         f"dQ_M/dT_{control} vanishes at this operating point")
         ok = failures.ok
@@ -463,9 +454,10 @@ def steady_state(params: SystemParams, rho44_init: float | None = None) -> np.nd
     GTH state reduction on the off-diagonal rates of W keeps populations as
     small as 1e-30 to full relative precision.  For a unique steady state
     rho44_init must be absent.  At fully common coupling the dark state 3
-    (0-based) decouples and its conserved population must be pinned: the
-    other seven states are solved and scaled to 1 - rho44_init.  This is
-    the first stage of `solve` for one point.
+    (0-based) decouples and its conserved population must be pinned: with
+    the dark state drained into the ground state the reduction leaves it
+    empty, the other seven states are scaled to 1 - rho44_init and state 3
+    gets rho44_init.  This is the first stage of `solve` for one point.
     """
     steady = _steady([params], [rho44_init])
     _raise_first(steady.failures.errors)
@@ -493,6 +485,8 @@ def evolve_populations(
         raise ParameterError("t_grid must be a strictly increasing 1-d array")
     if t_grid.size == 1:
         return p0[None, :].copy()
+    from scipy.integrate import solve_ivp  # only the two oracle integrators load SciPy
+
     W = rate_matrix(params)
     sol = solve_ivp(
         lambda t, p: W @ p,
@@ -580,6 +574,8 @@ def evolve_density_matrix(
     if t_grid.size == 1:
         traj = rho0[None, :, :].copy()
     else:
+        from scipy.integrate import solve_ivp
+
         D = dissipator_superoperator(params, eig=eig)
         sol = solve_ivp(
             lambda t, y: D @ y,

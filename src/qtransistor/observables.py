@@ -139,9 +139,10 @@ def closed_form_populations(params: SystemParams, rho44: float) -> np.ndarray:
     Valid only at lambda = (1, 1, 1).  The two highest states are dropped
     (their occupations are negligible in the operating regime) and the five
     remaining active states are solved in closed form: four balance
-    equations plus normalisation to 1 - rho44, evaluated by Cramer's rule
-    on the bordered 5x5 system.  Every component is proportional to
-    (1 - rho44).
+    equations plus normalisation to 1 - rho44, the bordered 5x5 system
+    whose Cramer's-rule solution the closed forms spell out, here taken by
+    one LU solve once its determinant D is checked to be nonzero.  Every
+    component is proportional to (1 - rho44).
     """
     if not params.fully_common:
         raise ParameterError("closed forms require lambda1 = lambda2 = lambda3 = 1")
@@ -161,12 +162,7 @@ def closed_form_populations(params: SystemParams, rho44: float) -> np.ndarray:
     D = float(np.linalg.det(M))
     if abs(D) < 1e-14:
         raise SingularDenominatorError(f"closed-form denominator D = {D:.3e}")
-    rhs = np.array([0.0, 0.0, 0.0, 0.0, 1.0])
-    x = np.empty(5)
-    for c in range(5):
-        Mc = M.copy()
-        Mc[:, c] = rhs
-        x[c] = np.linalg.det(Mc) / D
+    x = np.linalg.solve(M, np.eye(5)[4])
 
     p = np.zeros(8)
     p[list(_ACTIVE)] = (1.0 - rho44) * x / x.sum()

@@ -1,5 +1,8 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 from decimal import Decimal, getcontext
 
 import mpmath
@@ -26,6 +29,7 @@ from qtransistor import (
     rate_matrix,
     steady_state,
 )
+import qtransistor
 from qtransistor import dynamics, heat_currents
 from qtransistor.channels import channels_analytic
 from qtransistor.dynamics import relaxation_horizon, slowest_relaxation_rate, solve
@@ -389,6 +393,13 @@ class TestTableMemo:
             with pytest.raises(ValueError, match="read-only"):
                 array[...] = 0
 
+    def test_batch_leaves_the_kept_table(self, fig2_params, dark_params, table_builds):
+        kept = dynamics._table(dynamics._inputs([fig2_params]))
+        entry = dynamics._last_table
+        solve([fig2_params, dark_params], [None, 0.3])
+        assert dynamics._last_table is entry and len(table_builds) == 2
+        assert dynamics._table(dynamics._inputs([fig2_params])) is kept
+
     def test_undefined_nbar_leaves_the_next_call_correct(self, fig2_params):
         expected = fresh(query, fig2_params)
         bad = fig2_params.replace(omega_M=30.0)  # omega_M > omega_L: a row at omega < 0
@@ -439,6 +450,15 @@ class TestRelaxation:
         rates = mp_relaxation_rates(W)
         assert rates[1] < 1e-15
         assert slowest_relaxation_rate(W) == pytest.approx(rates[2], rel=1e-9)
+
+
+def test_package_import_leaves_scipy_unloaded():
+    # only the oracle integrators need SciPy, and they import it themselves
+    src = os.path.dirname(os.path.dirname(qtransistor.__file__))
+    code = "import sys, qtransistor, qtransistor.cli; print('scipy.integrate' in sys.modules)"
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert run.stdout.strip() == "False"
 
 
 class TestEvolvePopulations:

@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 
@@ -6,11 +7,13 @@ from qtransistor import (
     ParameterError,
     amplification_factor,
     analytic_eigensystem,
+    channels_analytic,
     closed_form_discrepancy,
     closed_form_populations,
     heat_currents,
     heat_currents_trace,
     optimize_lambda,
+    rate_matrix,
     steady_state,
 )
 
@@ -168,6 +171,96 @@ class TestAmplification:
             for T in (1.0, 2.0, 3.0)
         ]
         assert values[0] < values[1] < values[2], values
+
+
+def mp_alpha(params, control, rho44_init=None, digits=50):
+    """Oracle: linear-response (alpha_L, alpha_R) in `digits`-digit arithmetic.
+
+    Built from rate_matrix's off-diagonal rates and channels_analytic's
+    rows.  A control-reservoir row (i, j) at Bohr frequency w has
+    W[i, j] = gamma a^2 (nbar + 1) and W[j, i] = gamma a^2 nbar, so both
+    change with T at gamma a^2 nbar (nbar + 1) w / T^2
+    = W[i, j] W[j, i] / (W[i, j] - W[j, i]) w / T^2.  The steady state and
+    its derivative come from bordered solves (first balance row replaced
+    by the normalisation) on the free states; a pinned dark state 3 keeps
+    rho44_init and no derivative.  Also returns, for dQ_L, dQ_M and dQ_R,
+    the cancellation sum|terms| / |sum| of their row sums.
+    """
+    W = rate_matrix(params)
+    free = [k for k in range(8) if rho44_init is None or k != 3]
+    with mpmath.workdps(digits):
+        zero = mpmath.mpf(0)
+        R = [[mpmath.mpf(float(W[i, j])) if i != j else zero for j in range(8)]
+             for i in range(8)]
+        dR = [[zero] * 8 for _ in range(8)]
+        T = mpmath.mpf(params.temperature(control))
+        rows = []
+        for ch in channels_analytic(params, analytic_eigensystem(params)):
+            w = mpmath.mpf(ch.frequency)
+            for i, j, _ in ch.amplitudes:
+                rows.append((ch.reservoir, i, j, w))
+                if ch.reservoir == control:
+                    dR[i][j] = dR[j][i] = R[i][j] * R[j][i] / (R[i][j] - R[j][i]) * w / T ** 2
+
+        def apply(X, p, i):  # row i of the generator with off-diagonal rates X, times p
+            return mpmath.fsum(X[i][j] * p[j] - X[j][i] * p[i] for j in range(8))
+
+        def bordered(rhs, total):
+            A = mpmath.matrix([[R[a][b] if a != b else -mpmath.fsum(R[k][b] for k in range(8))
+                                for b in free] for a in free])
+            b = mpmath.matrix([rhs[a] for a in free])
+            for c in range(len(free)):
+                A[0, c] = 1
+            b[0] = total
+            x = mpmath.lu_solve(A, b)
+            return {k: x[c] for c, k in enumerate(free)}
+
+        pin = mpmath.mpf(rho44_init or 0)
+        p = bordered([zero] * 8, 1 - pin)
+        p = [p.get(k, pin) for k in range(8)]
+        dp = bordered([-apply(dR, p, i) for i in range(8)], zero)
+        dp = [dp.get(k, zero) for k in range(8)]
+        terms = {nu: [] for nu in "LMR"}
+        for nu, i, j, w in rows:
+            terms[nu].append(w * (R[j][i] * dp[i] - R[i][j] * dp[j]))
+            if nu == control:
+                terms[nu].append(w * dR[i][j] * (p[i] - p[j]))
+        dQ = {nu: mpmath.fsum(t) for nu, t in terms.items()}
+        cancellation = [float(mpmath.fsum(abs(x) for x in terms[nu]) / abs(dQ[nu]))
+                        for nu in "LMR"]
+        return np.array([float(dQ["L"] / dQ["M"]), float(dQ["R"] / dQ["M"])]), cancellation
+
+
+def assert_alpha_matches_mp(params, rho44_init=None):
+    # The kernel gets p' from an LU solve of the bordered system A p' = b,
+    # whose backward error is about n eps |A| (n = 8 states), so p' carries
+    # a relative error of at most n eps cond(A).  Each dQ/dT sums row terms
+    # that are C = sum|terms| / |dQ/dT| times larger than the sum, which
+    # multiplies that error by C, and alpha_L = dQ_L / dQ_M adds the errors
+    # of numerator and denominator.  This is a first-order worst case; the
+    # steady state's own few-ulp error is far below it.
+    ref, (c_L, c_M, c_R) = mp_alpha(params, "M", rho44_init)
+    res = amplification_factor(params, "M", rho44_init=rho44_init)
+    free = [k for k in range(8) if rho44_init is None or k != 3]
+    A = rate_matrix(params)[np.ix_(free, free)]
+    A[np.argmax(steady_state(params, rho44_init)[free])] = 1.0
+    bound = 8 * np.finfo(float).eps * np.linalg.cond(A) * np.array([c_L + c_M, c_R + c_M])
+    error = np.abs(np.array([res.alpha_L, res.alpha_R]) - ref) / np.abs(ref)
+    assert np.all(error <= bound), (error, bound)
+
+
+class TestAlphaOracle:
+    @pytest.mark.parametrize("T_M", [0.05, 0.5, 1.0, 2.0, 3.0])
+    def test_fig2_across_control_temperature(self, fig2_params, T_M):
+        # T_M = 0.05 is the cold point: omega_M / T_M = 20, nbar ~ 2e-9
+        assert_alpha_matches_mp(fig2_params.replace(T_M=T_M))
+
+    @pytest.mark.parametrize("rho44", [0.0, 0.3, 0.99])
+    def test_dark_pinned_fig2(self, fig2_params, rho44):
+        dark = fig2_params.replace(lambda1=1.0, lambda2=1.0, lambda3=1.0)
+        if rho44 == 0.99:  # the dark state's row is the one the normalisation replaces
+            assert np.argmax(steady_state(dark, rho44)) == 3
+        assert_alpha_matches_mp(dark, rho44)
 
 
 class TestClosedForm:
