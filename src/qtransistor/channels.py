@@ -150,11 +150,9 @@ def channels_analytic(params: SystemParams, eig: EigenSystem | None = None) -> l
     """
     if eig is None:
         eig = analytic_eigensystem(params)
-    beta = eig.mixing_angles[:3]
+    beta = np.array([eig.mixing_angles[:3]])
     a = transition_amplitudes(
-        np.array([[math.cos(b) for b in beta]]),
-        np.array([[math.sin(b) for b in beta]]),
-        np.array([[params.lambda1, params.lambda2, params.lambda3]]),
+        np.cos(beta), np.sin(beta), np.array([[params.lambda1, params.lambda2, params.lambda3]]),
     )[0].tolist()
     rows = [(i, j, a[r]) for r, (i, j, *_) in enumerate(TRANSITIONS)]
     return [

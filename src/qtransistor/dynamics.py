@@ -10,6 +10,10 @@ the heat currents and the residual max|W p| from the same rows, and gets
 the amplification factors from one batched linear-response solve; nothing
 in it loops over points or channels.  rate_matrix, steady_state and (in
 observables) heat_currents and amplification_factor are its N = 1 calls.
+Its eigenvalues, mixing angles and Bose occupations are the numpy ufunc
+closed forms model.closed_forms and _nbar, which the scalar helpers
+(analytic_eigensystem, mixing_angle, bose_occupation) call on one row, so
+a table built for one point equals the scalar route's numbers bit for bit.
 The last single-point table built is kept, keyed on the exact bytes of its
 input, so the second of two calls on the same point (steady_state then
 heat_currents, rate_matrix then steady_state) reuses it; the table is a
@@ -20,7 +24,6 @@ density-matrix propagator is kept as an oracle for that claim.
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 from collections.abc import Sequence
@@ -37,7 +40,14 @@ from .channels import (
     channels_analytic,
     transition_amplitudes,
 )
-from .model import RESERVOIRS, EigenSystem, ParameterError, SystemParams, analytic_eigensystem
+from .model import (
+    RESERVOIRS,
+    EigenSystem,
+    ParameterError,
+    SystemParams,
+    analytic_eigensystem,
+    closed_forms,
+)
 
 # 0-based index of the eigenstate that decouples at lambda = (1, 1, 1)
 DARK_STATE = 3
@@ -66,19 +76,23 @@ class IntegrationError(RuntimeError):
     """Time integration failed to reach the requested horizon."""
 
 
-def bose_occupation(omega: float, T: float) -> float:
-    """Mean photon number 1 / (exp(omega/T) - 1).
+def _nbar(z: np.ndarray) -> np.ndarray:
+    """Bose occupation 1 / (exp(z) - 1) of z = omega / T, elementwise.
 
-    Evaluated as exp(-x)/(-expm1(-x)) with x = omega/T, which neither
-    overflows for x >> 1 (hard underflow to 0 is accepted) nor cancels for
-    x << 1.
+    Evaluated as exp(-z)/(-expm1(-z)), which neither overflows for z >> 1
+    (hard underflow to 0 is accepted, and z = inf gives 0) nor cancels for
+    z << 1.
     """
+    return np.exp(-z) / -np.expm1(-z)
+
+
+def bose_occupation(omega: float, T: float) -> float:
+    """Mean photon number 1 / (exp(omega/T) - 1), by _nbar."""
     if omega <= 0:
         raise ParameterError("bose_occupation requires omega > 0")
     if T <= 0:
         raise ParameterError("bose_occupation requires T > 0")
-    x = omega / T
-    return math.exp(-x) / (-math.expm1(-x))
+    return float(_nbar(np.array([omega / T]))[0])
 
 
 # the SystemParams fields the kernel reads, as the columns of its input
@@ -92,6 +106,9 @@ _FIELDS = operator.attrgetter(
 _DOWN = ROW_I * 8 + ROW_J
 _UP = ROW_J * 8 + ROW_I
 _DIAGONAL = np.arange(8) * 9
+# (24, 8) incidence of the rows: row r takes its flow out of state ROW_I[r]
+# (-1) into state ROW_J[r] (+1)
+_INCIDENCE = np.eye(8)[ROW_J] - np.eye(8)[ROW_I]
 
 
 def _inputs(params: Sequence[SystemParams]) -> np.ndarray:
@@ -119,14 +136,6 @@ class _Table(NamedTuple):
 
 _NBAR_UNDEFINED = "bose_occupation requires omega > 0"
 
-# C math library functions, elementwise.  The kernel evaluates its closed
-# forms exactly as model.analytic_eigensystem, model.mixing_angle and
-# bose_occupation do, x ** 2 included, so its tables equal theirs bit for
-# bit; numpy's vectorised exp, expm1 and arcsin, and x * x for pow(x, 2),
-# differ from these in the last bit for a few inputs (on some CPUs).
-_POW, _ASIN, _EXP, _EXPM1 = (np.frompyfunc(f, n, 1) for f, n in (
-    (math.pow, 2), (math.asin, 1), (math.exp, 1), (math.expm1, 1)))
-
 
 # the last single-point table built: (x.tobytes() of its input, (table,
 # undefined)), always replaced whole, so a reader sees a complete entry or none
@@ -136,10 +145,13 @@ _last_table: tuple[bytes, tuple[_Table, np.ndarray]] | None = None
 def _table(x: np.ndarray) -> tuple[_Table, np.ndarray]:
     """Transition table of the input rows x, and where it is undefined.
 
-    Eigenvalues and mixing angles are the closed forms of
-    model.analytic_eigensystem.  The second result flags the points with a
-    kept row at omega <= 0, where nbar does not exist (bose_occupation
-    raises there); temperatures are positive by SystemParams' own checks.
+    Eigenvalues and mixing angles come from model.closed_forms and the
+    occupations from _nbar, which the scalar helpers call on one row, so
+    a row's amplitude and nbar equal channels_analytic's and
+    bose_occupation's bit for bit.  The second result flags the points
+    with a kept row at omega <= 0, where nbar does not exist
+    (bose_occupation raises there); temperatures are positive by
+    SystemParams' own checks.
 
     The result depends on nothing but the values in x, so the last
     single-point one (only single points are asked for twice in a row:
@@ -152,13 +164,7 @@ def _table(x: np.ndarray) -> tuple[_Table, np.ndarray]:
     last = _last_table
     if last is not None and last[0] == key:
         return last[1]
-    w = np.concatenate([x[:, :1] + x[:, 1:2], x[:, :2]], axis=1)  # omega_R, omega_L, omega_M
-    g = x[:, 2:3]
-    gg = g * g
-    e = np.sqrt(_POW(w, 2.0).astype(float) + gg)
-    eps = np.concatenate([-e, -g, g, e[:, ::-1]], axis=1)
-    s = g / np.sqrt(_POW(np.sqrt(w * w + gg) + w, 2.0).astype(float) + gg)
-    beta = _ASIN(s).astype(float)
+    eps, beta = closed_forms(x)
     a = transition_amplitudes(np.cos(beta), np.sin(beta), x[:, 9:12])
     kept = np.abs(a) > AMPLITUDE_TOL
     omega = eps[:, ROW_J] - eps[:, ROW_I]
@@ -169,7 +175,7 @@ def _table(x: np.ndarray) -> tuple[_Table, np.ndarray]:
     # difference of two eigenvalue magnitudes) and T, so nbar is evaluated
     # once per channel
     z = np.where(defined[:, ::2] | defined[:, 1::2], omega[:, ::2] / T[:, ::2], np.inf)
-    nbar = np.repeat(_EXP(-z).astype(float) / -_EXPM1(-z).astype(float), 2, axis=1)
+    nbar = np.repeat(_nbar(z), 2, axis=1)
     result = (_Table(omega, rate, T, nbar, rate * (nbar + 1.0), rate * nbar),
               np.any(kept & ~defined, axis=1))
     for array in (*result[0], result[1]):
@@ -201,34 +207,22 @@ def _flow(down: np.ndarray, up: np.ndarray, p: np.ndarray) -> np.ndarray:
     return up * p[:, ROW_I] - down * p[:, ROW_J]
 
 
-@functools.lru_cache(maxsize=4)
-def _bins(n: int, width: int) -> np.ndarray:
-    """Flat np.bincount index sending row values of n points to (n, width) sums.
+def _row_heat(t: _Table, flow: np.ndarray) -> np.ndarray:
+    """(N, 3, 8) heat omega * flow each row delivers, grouped by reservoir.
 
-    width 3: the 24 rows to their reservoirs; width 8: the 48 row flows
-    into state j, then out of state i, to those states.
+    channels.TRANSITIONS lists the 8 rows of L, then of M, then of R.
     """
-    rows = ROW_RESERVOIR if width == 3 else np.concatenate([ROW_J, ROW_I])
-    index = ((width * np.arange(n))[:, None] + rows).ravel()
-    index.flags.writeable = False
-    return index
+    return (t.omega * flow).reshape(-1, 3, 8)
 
 
 def _currents(t: _Table, flow: np.ndarray) -> np.ndarray:
-    """(N, 3) heat currents (Q_L, Q_M, Q_R): each row delivers omega * flow.
-
-    Rows are summed in table order, point by point.
-    """
-    n = len(flow)
-    return np.bincount(_bins(n, 3), weights=(t.omega * flow).ravel(),
-                       minlength=3 * n).reshape(n, 3)
+    """(N, 3) heat currents (Q_L, Q_M, Q_R): the row heats summed per reservoir."""
+    return _row_heat(t, flow).sum(axis=2)
 
 
 def _rate_of_change(flow: np.ndarray) -> np.ndarray:
     """(N, 8) W p from the row flows: each flows out of state i into state j."""
-    n = len(flow)
-    return np.bincount(_bins(n, 8), weights=np.concatenate([flow, -flow], axis=1).ravel(),
-                       minlength=8 * n).reshape(n, 8)
+    return flow @ _INCIDENCE
 
 
 def rate_matrix(params: SystemParams) -> np.ndarray:
@@ -401,7 +395,11 @@ def solve(
     nbar (nbar + 1) w / T^2 on that reservoir's rows gives dW/dT, and the
     steady-state derivative p' solves W p' = -(dW/dT) p with sum(p') = 0.
     Dark-pinned points share both solves: their drained dark state (see
-    `_steady`) gets p'_3 = 0.
+    `_steady`) gets p'_3 = 0.  Each dQ_nu/dT sums the row heats of p' and
+    of dW/dT.  As dQ_L + dQ_M + dQ_R = 0, one whose terms outweigh those of
+    the other two together in absolute sum is taken as minus their sum:
+    the route with the least cancellation, so a cold point's dQ_M is not
+    left as the tiny difference of large row heats.
 
     A point that fails records its typed error, in the order the checks
     run: UnderdeterminedError or OverdeterminedError for a missing or
@@ -429,7 +427,11 @@ def solve(
         points = np.flatnonzero(failures.ok)
         dp = np.zeros_like(p)
         dp[points] = _steady_derivative(W[points], _rate_of_change(d_flow)[points], p[points])
-        dQ = _currents(t, _flow(t.down, t.up, dp)) + _currents(t, d_flow)
+        heat = np.concatenate([_row_heat(t, _flow(t.down, t.up, dp)), _row_heat(t, d_flow)],
+                              axis=2)
+        dQ, size = heat.sum(axis=2), np.abs(heat).sum(axis=2)
+        others, others_size = (np.roll(v, 1, axis=1) + np.roll(v, 2, axis=1) for v in (dQ, size))
+        dQ = np.where(size > others_size, -others, dQ)
         failures.record(dQ[:, 1] == 0.0, DegenerateControlError,
                         f"dQ_M/dT_{control} vanishes at this operating point")
         ok = failures.ok
@@ -473,6 +475,13 @@ def _check_populations(p: np.ndarray) -> np.ndarray:
     return p
 
 
+def _check_times(t_grid: np.ndarray) -> np.ndarray:
+    t_grid = np.asarray(t_grid, dtype=float)
+    if t_grid.ndim != 1 or t_grid.size == 0 or np.any(np.diff(t_grid) <= 0):
+        raise ParameterError("t_grid must be a strictly increasing 1-d array")
+    return t_grid
+
+
 def evolve_populations(
     params: SystemParams,
     p0: np.ndarray,
@@ -480,9 +489,7 @@ def evolve_populations(
 ) -> np.ndarray:
     """Integrate p' = W p adaptively; row n is the state at t_grid[n]."""
     p0 = _check_populations(p0)
-    t_grid = np.asarray(t_grid, dtype=float)
-    if t_grid.ndim != 1 or t_grid.size == 0 or np.any(np.diff(t_grid) <= 0):
-        raise ParameterError("t_grid must be a strictly increasing 1-d array")
+    t_grid = _check_times(t_grid)
     if t_grid.size == 1:
         return p0[None, :].copy()
     from scipy.integrate import solve_ivp  # only the two oracle integrators load SciPy
@@ -567,9 +574,7 @@ def evolve_density_matrix(
     integrating the dissipative part alone.
     """
     rho0 = _check_density_matrix(rho0)
-    t_grid = np.asarray(t_grid, dtype=float)
-    if t_grid.ndim != 1 or t_grid.size == 0 or np.any(np.diff(t_grid) <= 0):
-        raise ParameterError("t_grid must be a strictly increasing 1-d array")
+    t_grid = _check_times(t_grid)
     eig = analytic_eigensystem(params)
     if t_grid.size == 1:
         traj = rho0[None, :, :].copy()

@@ -124,13 +124,30 @@ def build_hamiltonian(params: SystemParams) -> np.ndarray:
     return H
 
 
-def mixing_angle(omega_i: float, g: float) -> float:
-    """Rotation angle beta_i of one eigenstate doublet.
+def closed_forms(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and mixing angles of the rows x = (omega_L, omega_M, g, ...).
 
-    sin(beta_i) = g / sqrt((sqrt(omega_i^2+g^2) + omega_i)^2 + g^2), which
-    lies in (0, pi/4] for g > 0.  The decoupled limit g = 0 returns 0,
-    except at omega_i = 0 where the formula limit pi/4 is kept as the
-    convention for the degenerate central doublet.
+    Returns the (N, 8) eigenvalues in the pairing order (R, L, M, 4 | 4, M, L, R)
+    and the (N, 3) angles (beta_R, beta_L, beta_M).  For each doublet
+    w = omega_R, omega_L, omega_M: e = sqrt(w^2 + g^2) and
+    sin(beta) = g / sqrt((e + w)^2 + g^2), so beta lies in (0, pi/4] for g > 0
+    and is 0 at g = 0 (w > 0).
+    """
+    w = np.concatenate([x[:, :1] + x[:, 1:2], x[:, :2]], axis=1)
+    g = x[:, 2:3]
+    gg = g * g
+    e = np.sqrt(w * w + gg)
+    ew = e + w
+    eigenvalues = np.concatenate([-e, -g, g, e[:, ::-1]], axis=1)
+    return eigenvalues, np.arcsin(g / np.sqrt(ew * ew + gg))
+
+
+def mixing_angle(omega_i: float, g: float) -> float:
+    """Rotation angle beta_i of one eigenstate doublet (see closed_forms).
+
+    The decoupled limit g = 0 returns 0, except at omega_i = 0 where the
+    formula limit pi/4 is kept as the convention for the degenerate central
+    doublet.
     """
     if omega_i < 0:
         raise ParameterError("omega_i must be non-negative")
@@ -138,8 +155,7 @@ def mixing_angle(omega_i: float, g: float) -> float:
         raise ParameterError("g must be non-negative")
     if g == 0.0:
         return 0.25 * math.pi if omega_i == 0.0 else 0.0
-    s = g / math.sqrt((math.sqrt(omega_i * omega_i + g * g) + omega_i) ** 2 + g * g)
-    return math.asin(s)
+    return float(closed_forms(np.array([[omega_i, omega_i, g]]))[1][0, 1])
 
 
 def _ket(label: str) -> np.ndarray:
@@ -148,13 +164,13 @@ def _ket(label: str) -> np.ndarray:
     return v
 
 
+def _row(params: SystemParams) -> np.ndarray:
+    return np.array([[params.omega_L, params.omega_M, params.g]])
+
+
 def analytic_eigenvalues(params: SystemParams) -> np.ndarray:
     """Closed-form eigenvalues in the pairing order (R, L, M, 4 | 4, M, L, R)."""
-    g = params.g
-    eR = math.sqrt(params.omega_R ** 2 + g * g)
-    eL = math.sqrt(params.omega_L ** 2 + g * g)
-    eM = math.sqrt(params.omega_M ** 2 + g * g)
-    return np.array([-eR, -eL, -eM, -g, g, eM, eL, eR])
+    return closed_forms(_row(params))[0][0]
 
 
 def analytic_eigensystem(params: SystemParams) -> EigenSystem:
@@ -163,19 +179,9 @@ def analytic_eigensystem(params: SystemParams) -> EigenSystem:
     Each eigenvector is a superposition of exactly two computational basis
     states related by flipping all three qubits.
     """
-    g = params.g
-    angles = MixingAngles(
-        beta_R=mixing_angle(params.omega_R, g),
-        beta_L=mixing_angle(params.omega_L, g),
-        beta_M=mixing_angle(params.omega_M, g),
-        beta_4=mixing_angle(0.0, g),
-    )
-    eigenvalues = analytic_eigenvalues(params)
-
-    cR, sR = math.cos(angles.beta_R), math.sin(angles.beta_R)
-    cL, sL = math.cos(angles.beta_L), math.sin(angles.beta_L)
-    cM, sM = math.cos(angles.beta_M), math.sin(angles.beta_M)
-    c4, s4 = math.cos(angles.beta_4), math.sin(angles.beta_4)
+    eigenvalues, beta = closed_forms(_row(params))
+    angles = MixingAngles(*beta[0].tolist(), beta_4=mixing_angle(0.0, params.g))
+    (cR, cL, cM, c4), (sR, sL, sM, s4) = np.cos(angles), np.sin(angles)
 
     V = np.column_stack([
         cR * _ket("000") - sR * _ket("111"),
@@ -187,7 +193,7 @@ def analytic_eigensystem(params: SystemParams) -> EigenSystem:
         cL * _ket("101") + sL * _ket("010"),
         cR * _ket("111") + sR * _ket("000"),
     ])
-    return EigenSystem(eigenvalues=eigenvalues, mixing_angles=angles, eigenvectors=V)
+    return EigenSystem(eigenvalues=eigenvalues[0], mixing_angles=angles, eigenvectors=V)
 
 
 def bohr_frequencies(eigenvalues: np.ndarray) -> np.ndarray:

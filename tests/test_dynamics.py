@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from decimal import Decimal, getcontext
 
 import mpmath
@@ -31,7 +32,7 @@ from qtransistor import (
 )
 import qtransistor
 from qtransistor import dynamics, heat_currents
-from qtransistor.channels import channels_analytic
+from qtransistor.channels import ROW_RESERVOIR, channels_analytic
 from qtransistor.dynamics import relaxation_horizon, slowest_relaxation_rate, solve
 
 from conftest import random_params
@@ -282,6 +283,28 @@ class TestBatchedKernel:
         for params in mixed_draws(40)[0]:
             assert np.array_equal(rate_matrix(params), scalar_rate_matrix(params))
 
+    def test_rows_are_grouped_by_reservoir(self):
+        # the heat currents are a reshape-sum of the rows: 8 of L, 8 of M, 8 of R
+        assert ROW_RESERVOIR.tolist() == [0] * 8 + [1] * 8 + [2] * 8
+
+    def test_batch_holds_no_array_memory(self):
+        # array data (numpy's tracemalloc domain) still allocated after a
+        # batch is kept by the kernel; anything kept per point would hold at
+        # least one double per point.  Python's own free lists are not counted.
+        rng = np.random.default_rng(43)
+        params = [random_params(rng) for _ in range(2000)]
+        solve(params[:3], control="M")
+        arrays = [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)]
+        tracemalloc.start()
+        try:
+            before = tracemalloc.take_snapshot().filter_traces(arrays)
+            solve(params, control="M")
+            after = tracemalloc.take_snapshot().filter_traces(arrays)
+        finally:
+            tracemalloc.stop()
+        held = sum(stat.size_diff for stat in after.compare_to(before, "filename"))
+        assert held < 8 * len(params), held
+
     def test_batch_matches_single_point_calls(self):
         params, pins = mixed_draws()
         batch = solve(params, pins, control="M")
@@ -489,6 +512,11 @@ class TestEvolvePopulations:
         with pytest.raises(ParameterError):
             evolve_populations(fig2_params, p0, np.array([1.0, 0.5]))
 
+    @pytest.mark.parametrize("t", [[0.0, 0.0], [], [[0.0, 1.0]]])
+    def test_rejects_flat_empty_or_2d_grid(self, fig2_params, t):
+        with pytest.raises(ParameterError, match="t_grid"):
+            evolve_populations(fig2_params, np.eye(8)[0], np.array(t))
+
     def test_rejects_bad_populations(self, fig2_params):
         with pytest.raises(ParameterError):
             evolve_populations(fig2_params, np.full(8, 0.25), np.array([0.0, 1.0]))
@@ -527,6 +555,12 @@ class TestEvolveDensityMatrix:
         idx = [9 * k for k in range(8)]
         np.testing.assert_allclose(
             D[np.ix_(idx, idx)], rate_matrix(fig2_params), atol=1e-16)
+
+    @pytest.mark.parametrize("t", [[1.0, 0.5], [0.0, 0.0], [], [[0.0, 1.0]]])
+    def test_rejects_bad_grid(self, fig2_params, t):
+        with pytest.raises(ParameterError, match="t_grid"):
+            evolve_density_matrix(fig2_params, np.diag(np.eye(8)[0]).astype(complex),
+                                  np.array(t))
 
     def test_rejects_unphysical_state(self, fig2_params):
         t = np.array([0.0, 1.0])

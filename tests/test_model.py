@@ -182,9 +182,9 @@ class TestValidateSecular:
         draws += [fig2_params.replace(g=0.0), fig2_params.replace(omega_L=2.0, omega_M=2.0)]
         for params in draws:
             g = params.g
-            eR = math.sqrt(params.omega_R ** 2 + g * g)
-            eL = math.sqrt(params.omega_L ** 2 + g * g)
-            eM = math.sqrt(params.omega_M ** 2 + g * g)
+            eR = math.sqrt(params.omega_R * params.omega_R + g * g)
+            eL = math.sqrt(params.omega_L * params.omega_L + g * g)
+            eM = math.sqrt(params.omega_M * params.omega_M + g * g)
             old = np.array([-eR, -eL, -eM, -g, g, eM, eL, eR])
             assert analytic_eigenvalues(params).tobytes() == old.tobytes()
             assert analytic_eigensystem(params).eigenvalues.tobytes() == old.tobytes()

@@ -238,8 +238,12 @@ def assert_alpha_matches_mp(params, rho44_init=None):
     # that are C = sum|terms| / |dQ/dT| times larger than the sum, which
     # multiplies that error by C, and alpha_L = dQ_L / dQ_M adds the errors
     # of numerator and denominator.  This is a first-order worst case; the
-    # steady state's own few-ulp error is far below it.
+    # steady state's own few-ulp error is far below it.  The kernel takes
+    # dQ_M as -(dQ_L + dQ_R) where that sums fewer row heats in absolute
+    # value: its error is then C_L |dQ_L| + C_R |dQ_R|, relative to dQ_M
+    # C_L |alpha_L| + C_R |alpha_R|, so dQ_M carries the smaller of the two.
     ref, (c_L, c_M, c_R) = mp_alpha(params, "M", rho44_init)
+    c_M = min(c_M, c_L * abs(ref[0]) + c_R * abs(ref[1]))
     res = amplification_factor(params, "M", rho44_init=rho44_init)
     free = [k for k in range(8) if rho44_init is None or k != 3]
     A = rate_matrix(params)[np.ix_(free, free)]
@@ -254,6 +258,11 @@ class TestAlphaOracle:
     def test_fig2_across_control_temperature(self, fig2_params, T_M):
         # T_M = 0.05 is the cold point: omega_M / T_M = 20, nbar ~ 2e-9
         assert_alpha_matches_mp(fig2_params.replace(T_M=T_M))
+
+    def test_cold_fig2(self, fig2_params):
+        # dQ_M/dT sums row heats 3.8e13 times larger than itself, while
+        # dQ_L and dQ_R hardly cancel: the direct sum kept ~3 digits of alpha
+        assert_alpha_matches_mp(fig2_params.replace(T_L=1.0, T_M=0.05, T_R=0.05))
 
     @pytest.mark.parametrize("rho44", [0.0, 0.3, 0.99])
     def test_dark_pinned_fig2(self, fig2_params, rho44):
