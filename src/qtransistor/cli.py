@@ -7,11 +7,12 @@
     simulate channels-dump --config fig2 --out channels.csv
     simulate validate --config fig2
 
---config accepts a file path or a shipped preset name.  Each command
-solves all of its operating points in one batched call (see
+--config accepts a file path or a shipped preset name; without --out a
+command writes to stdout, and validate always does.  Each command solves
+all of its operating points in one batched call (see
 qtransistor.dynamics.solve); the argument parser is built once, when the
-module is imported.  Exit codes: 0 success, 2 invalid configuration,
-3 every sweep point failed.
+module is imported.  Exit codes: 0 success, 2 invalid configuration or
+unwritable output, 3 every sweep point failed.
 """
 
 from __future__ import annotations
@@ -21,21 +22,18 @@ import sys
 
 from .channels import channel_table, channels_analytic
 from .experiments import (
-    CSV_HEADER,
-    POPULATION_CSV_HEADER,
     ConfigError,
-    DarkStateError,
     _get_float,
+    _get_int,
     drive_from_config,
     fmt,
     load_config,
     params_from_config,
-    population_rows,
     run_modulation,
     run_populations,
     run_sweep,
     sweep_from_config,
-    sweep_rows,
+    write_lines,
     write_population_csv,
     write_sweep_csv,
 )
@@ -83,14 +81,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w") as fh:
-            fh.write(text)
-
-
 def _cmd_sweep(args) -> int:
     cfg = load_config(args.config)
     if args.axis is not None:
@@ -111,10 +101,7 @@ def _cmd_sweep(args) -> int:
         sys.stderr.write("error: every sweep point failed; first failure: "
                          f"{records[0].error}\n")
         return EXIT_ALL_FAILED
-    if args.out is None:
-        _emit(CSV_HEADER + "\n" + "\n".join(sweep_rows(records)) + "\n", None)
-    else:
-        write_sweep_csv(records, args.out)
+    write_sweep_csv(records, args.out)
     return EXIT_OK
 
 
@@ -122,8 +109,6 @@ def _cmd_modulate(args) -> int:
     cfg = load_config(args.config)
     params = params_from_config(cfg)
     drive = drive_from_config(cfg)
-    if "rho44_init" not in cfg:
-        raise ConfigError("modulation requires rho44_init in the config")
     report = run_modulation(params, drive, _get_float(cfg, "rho44_init"))
     lines = [
         f"rho44_before = {fmt(report.rho44_before)}",
@@ -137,12 +122,12 @@ def _cmd_modulate(args) -> int:
         f"scale_factor = {fmt(report.scale_factor)}",
         f"predicted_scale = {fmt(report.predicted_scale)}",
     ]
-    _emit("\n".join(lines) + "\n", args.out)
+    write_lines(lines, args.out)
     if args.trajectory_out is not None:
         rows = ["t,rho44"]
         rows += [f"{fmt(t)},{fmt(r)}"
                  for t, r in zip(report.times, report.rho44_trajectory)]
-        _emit("\n".join(rows) + "\n", args.trajectory_out)
+        write_lines(rows, args.trajectory_out)
     return EXIT_OK
 
 
@@ -151,7 +136,7 @@ def _cmd_populations(args) -> int:
     params = params_from_config(cfg)
     if "axis" in cfg and cfg["axis"] != "T_M":
         raise ConfigError("the populations command sweeps T_M only")
-    points = args.points if args.points is not None else int(_get_float(cfg, "points", 50))
+    points = args.points if args.points is not None else _get_int(cfg, "points", 50)
     curves = run_populations(
         params,
         lo=_get_float(cfg, "lo", 0.02),
@@ -160,10 +145,7 @@ def _cmd_populations(args) -> int:
         compare_lambda1=_get_float(cfg, "compare_lambda1", 0.0),
         rho44_init=_get_float(cfg, "rho44_init") if "rho44_init" in cfg else None,
     )
-    if args.out is None:
-        _emit(POPULATION_CSV_HEADER + "\n" + "\n".join(population_rows(curves)) + "\n", None)
-    else:
-        write_population_csv(curves, args.out)
+    write_population_csv(curves, args.out)
     return EXIT_OK
 
 
@@ -173,7 +155,7 @@ def _cmd_channels_dump(args) -> int:
     rows = ["reservoir,k,frequency,i,j,amplitude"]
     for nu, k, freq, i, j, a in channel_table(channels_analytic(params)):
         rows.append(f"{nu},{k},{fmt(freq)},{i},{j},{fmt(a)}")
-    _emit("\n".join(rows) + "\n", args.out)
+    write_lines(rows, args.out)
     return EXIT_OK
 
 
@@ -189,7 +171,7 @@ def _cmd_validate(args) -> int:
     ]
     for w in report.warnings:
         lines.append(f"warning = {w}")
-    sys.stdout.write("\n".join(lines) + "\n")
+    write_lines(lines, None)
     return EXIT_OK
 
 
@@ -209,10 +191,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _PARSER.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ConfigError, ParameterError, DarkStateError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_CONFIG
-    except OSError as exc:
+    except (ConfigError, ParameterError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_CONFIG
 

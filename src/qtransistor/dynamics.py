@@ -26,8 +26,8 @@ from __future__ import annotations
 
 import math
 import operator
-from collections.abc import Sequence
-from dataclasses import dataclass
+from collections.abc import Callable, Sequence
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -96,10 +96,7 @@ def bose_occupation(omega: float, T: float) -> float:
 
 
 # the SystemParams fields the kernel reads, as the columns of its input
-_FIELDS = operator.attrgetter(
-    "omega_L", "omega_M", "g", "T_L", "T_M", "T_R",
-    "gamma_L", "gamma_M", "gamma_R", "lambda1", "lambda2", "lambda3",
-)
+_FIELDS = operator.attrgetter(*(field.name for field in fields(SystemParams)))
 
 # flat indices into a row-major 8x8 W: transfer j -> i sits at W[i, j] and
 # i -> j at W[j, i]; the 24 pairs are distinct, so each entry is set once
@@ -482,6 +479,30 @@ def _check_times(t_grid: np.ndarray) -> np.ndarray:
     return t_grid
 
 
+def _integrate(
+    generator: Callable[[], np.ndarray], y0: np.ndarray, t_grid: np.ndarray, what: str,
+) -> np.ndarray:
+    """Integrate y' = G y adaptively, G = generator() (built only for a grid of
+    more than one point); row n is the state at t_grid[n]."""
+    if t_grid.size == 1:
+        return y0[None, :].copy()
+    from scipy.integrate import solve_ivp  # only the two oracle integrators load SciPy
+
+    G = generator()
+    sol = solve_ivp(
+        lambda t, y: G @ y,
+        (t_grid[0], t_grid[-1]),
+        y0,
+        t_eval=t_grid,
+        method="DOP853",
+        rtol=ODE_RTOL,
+        atol=ODE_ATOL,
+    )
+    if not sol.success:
+        raise IntegrationError(f"{what} integration failed: {sol.message}")
+    return sol.y.T
+
+
 def evolve_populations(
     params: SystemParams,
     p0: np.ndarray,
@@ -490,23 +511,7 @@ def evolve_populations(
     """Integrate p' = W p adaptively; row n is the state at t_grid[n]."""
     p0 = _check_populations(p0)
     t_grid = _check_times(t_grid)
-    if t_grid.size == 1:
-        return p0[None, :].copy()
-    from scipy.integrate import solve_ivp  # only the two oracle integrators load SciPy
-
-    W = rate_matrix(params)
-    sol = solve_ivp(
-        lambda t, p: W @ p,
-        (t_grid[0], t_grid[-1]),
-        p0,
-        t_eval=t_grid,
-        method="DOP853",
-        rtol=ODE_RTOL,
-        atol=ODE_ATOL,
-    )
-    if not sol.success:
-        raise IntegrationError(f"population integration failed: {sol.message}")
-    return sol.y.T
+    return _integrate(lambda: rate_matrix(params), p0, t_grid, "population")
 
 
 def _superop(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -576,24 +581,8 @@ def evolve_density_matrix(
     rho0 = _check_density_matrix(rho0)
     t_grid = _check_times(t_grid)
     eig = analytic_eigensystem(params)
-    if t_grid.size == 1:
-        traj = rho0[None, :, :].copy()
-    else:
-        from scipy.integrate import solve_ivp
-
-        D = dissipator_superoperator(params, eig=eig)
-        sol = solve_ivp(
-            lambda t, y: D @ y,
-            (t_grid[0], t_grid[-1]),
-            rho0.reshape(64),
-            t_eval=t_grid,
-            method="DOP853",
-            rtol=ODE_RTOL,
-            atol=ODE_ATOL,
-        )
-        if not sol.success:
-            raise IntegrationError(f"density-matrix integration failed: {sol.message}")
-        traj = sol.y.T.reshape(-1, 8, 8)
+    traj = _integrate(lambda: dissipator_superoperator(params, eig=eig),
+                      rho0.reshape(64), t_grid, "density-matrix").reshape(-1, 8, 8)
     phase = np.exp(-1j * (eig.eigenvalues[:, None] - eig.eigenvalues[None, :])
                    * (t_grid - t_grid[0])[:, None, None])
     return traj * phase

@@ -1,20 +1,23 @@
 """Reproducible sweep runs: configs, parameter grids, CSV emission.
 
 A run is defined by a flat key = value config (one assignment per line,
-'#' comments) naming the base parameters plus a sweep axis.  Every command
-solves all of its operating points in one call of the batched kernel
-dynamics.solve (run_modulation in two, as its second state depends on the
-first).  Every output row carries the resolved inputs needed to reproduce
-it, numbers are written with 17 significant digits and no timestamps enter
-the data, so identical configs yield bit-identical files.
+'#' comments): the SystemParams fields (or a common 'gamma') plus a sweep
+axis.  Every grid is a SweepSpec, the population curves' too, and every
+command solves all of its operating points in one call of the batched
+kernel dynamics.solve (run_modulation in two, as its second state depends
+on the first).  write_lines writes all text, to a file or stdout.  Every
+output row carries the resolved inputs needed to reproduce it, numbers are
+written with 17 significant digits and no timestamps enter the data, so
+identical configs yield bit-identical files.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import sys
 import time
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
@@ -48,6 +51,16 @@ class DarkStateError(ParameterError):
 def fmt(value: float) -> str:
     """17-significant-digit scientific notation (round-trip exact)."""
     return f"{value:.16e}"
+
+
+def write_lines(lines: list[str], path: str | None) -> None:
+    """Write the lines, each ending in a newline, to path (stdout when None)."""
+    text = "\n".join(lines) + "\n"
+    if path is None:
+        sys.stdout.write(text)
+    else:
+        with open(path, "w") as fh:
+            fh.write(text)
 
 
 @dataclass(frozen=True)
@@ -187,11 +200,8 @@ def sweep_rows(records: list[RunRecord]) -> list[str]:
     return rows
 
 
-def write_sweep_csv(records: list[RunRecord], path: str) -> None:
-    with open(path, "w") as fh:
-        fh.write(CSV_HEADER + "\n")
-        for row in sweep_rows(records):
-            fh.write(row + "\n")
+def write_sweep_csv(records: list[RunRecord], path: str | None) -> None:
+    write_lines([CSV_HEADER, *sweep_rows(records)], path)
 
 
 @dataclass(frozen=True)
@@ -278,15 +288,11 @@ def run_populations(
     rho44_init: float | None = None,
 ) -> PopulationCurves:
     """Steady populations versus T_M for the base and a comparison lambda1."""
-    if not lo < hi:
-        raise ConfigError("population sweep range must satisfy lo < hi")
-    if points < 2:
-        raise ConfigError("population sweep needs at least 2 points")
-    values = np.linspace(lo, hi, points)
-    curves = [base.replace(T_M=float(T_M))
-              for base in (params, params.replace(lambda1=compare_lambda1))
-              for T_M in values]
-    sol = solve(curves, [rho44_init if p.fully_common else None for p in curves])
+    specs = [SweepSpec(base, "T_M", lo, hi, points, rho44_init=rho44_init)
+             for base in (params, params.replace(lambda1=compare_lambda1))]
+    values = specs[0].values()
+    curves, pins = zip(*(spec.resolve(T_M) for spec in specs for T_M in values))
+    sol = solve(curves, pins)
     _raise_first(sol.errors)
     pops, pops_cmp = sol.populations[:points], sol.populations[points:]
     return PopulationCurves(
@@ -316,23 +322,15 @@ def population_rows(curves: PopulationCurves) -> list[str]:
     return rows
 
 
-def write_population_csv(curves: PopulationCurves, path: str) -> None:
-    with open(path, "w") as fh:
-        fh.write(POPULATION_CSV_HEADER + "\n")
-        for row in population_rows(curves):
-            fh.write(row + "\n")
+def write_population_csv(curves: PopulationCurves, path: str | None) -> None:
+    write_lines([POPULATION_CSV_HEADER, *population_rows(curves)], path)
 
 
 # ---------------------------------------------------------------------------
 # flat key = value configs
 # ---------------------------------------------------------------------------
 
-_PARAM_KEYS = {
-    "omega_L", "omega_M", "g",
-    "lambda1", "lambda2", "lambda3",
-    "T_L", "T_M", "T_R",
-    "gamma", "gamma_L", "gamma_M", "gamma_R",
-}
+_PARAM_KEYS = {field.name for field in fields(SystemParams)} | {"gamma"}
 _RUN_KEYS = {
     "axis", "lo", "hi", "points", "control", "outputs", "rho44_init",
     "drive_Omega", "drive_duration", "compare_lambda1",
@@ -370,31 +368,29 @@ def _get_float(cfg: dict[str, str], key: str, default: float | None = None) -> f
         raise ConfigError(f"key {key!r} is not a number: {cfg[key]!r}") from None
 
 
+def _get_int(cfg: dict[str, str], key: str, default: int | None = None) -> int:
+    value = _get_float(cfg, key, default)
+    if not float(value).is_integer():
+        raise ConfigError(f"key {key!r} is not an integer: {cfg[key]!r}")
+    return int(value)
+
+
 def params_from_config(cfg: dict[str, str]) -> SystemParams:
-    gamma_default = _get_float(cfg, "gamma") if "gamma" in cfg else None
-
-    def gamma_of(key: str) -> float:
-        if key in cfg:
-            return _get_float(cfg, key)
-        if gamma_default is None:
-            raise ConfigError(f"missing {key!r} (or a common 'gamma')")
-        return gamma_default
-
+    """SystemParams from the config: each gamma_* falls back to 'gamma', each
+    field with a default (the lambdas) to that default; the rest are required."""
+    gamma = _get_float(cfg, "gamma") if "gamma" in cfg else None
+    values = {}
+    for field in fields(SystemParams):
+        name = field.name
+        if name.startswith("gamma_") and name not in cfg:
+            if gamma is None:
+                raise ConfigError(f"missing {name!r} (or a common 'gamma')")
+            values[name] = gamma
+        else:
+            default = None if field.default is MISSING else field.default
+            values[name] = _get_float(cfg, name, default)
     try:
-        return SystemParams(
-            omega_L=_get_float(cfg, "omega_L"),
-            omega_M=_get_float(cfg, "omega_M"),
-            g=_get_float(cfg, "g"),
-            T_L=_get_float(cfg, "T_L"),
-            T_M=_get_float(cfg, "T_M"),
-            T_R=_get_float(cfg, "T_R"),
-            gamma_L=gamma_of("gamma_L"),
-            gamma_M=gamma_of("gamma_M"),
-            gamma_R=gamma_of("gamma_R"),
-            lambda1=_get_float(cfg, "lambda1", 0.0),
-            lambda2=_get_float(cfg, "lambda2", 0.0),
-            lambda3=_get_float(cfg, "lambda3", 0.0),
-        )
+        return SystemParams(**values)
     except ParameterError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -406,19 +402,16 @@ def sweep_from_config(cfg: dict[str, str]) -> SweepSpec:
         if s.strip()
     )
     rho44 = _get_float(cfg, "rho44_init") if "rho44_init" in cfg else None
-    try:
-        return SweepSpec(
-            base=base,
-            axis=cfg.get("axis", ""),
-            lo=_get_float(cfg, "lo"),
-            hi=_get_float(cfg, "hi"),
-            points=int(_get_float(cfg, "points")),
-            control=cfg.get("control", "M"),
-            outputs=outputs,
-            rho44_init=rho44,
-        )
-    except ParameterError as exc:
-        raise ConfigError(str(exc)) from exc
+    return SweepSpec(
+        base=base,
+        axis=cfg.get("axis", ""),
+        lo=_get_float(cfg, "lo"),
+        hi=_get_float(cfg, "hi"),
+        points=_get_int(cfg, "points"),
+        control=cfg.get("control", "M"),
+        outputs=outputs,
+        rho44_init=rho44,
+    )
 
 
 def drive_from_config(cfg: dict[str, str]) -> DriveSpec:

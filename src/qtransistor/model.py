@@ -51,20 +51,19 @@ class SystemParams:
     lambda3: float = 0.0
 
     def __post_init__(self):
-        if not (self.omega_L > 0 and self.omega_M > 0):
-            raise ParameterError("qubit frequencies must be positive")
-        if self.g < 0:
-            raise ParameterError("coupling g must be non-negative")
+        # each chained comparison is False for nan, so it also rejects nan
+        inf = math.inf
+        if not 0 <= self.g < inf:
+            raise ParameterError(f"coupling g = {self.g} must be non-negative and finite")
         for name in ("lambda1", "lambda2", "lambda3"):
             v = getattr(self, name)
             if not (0.0 <= v <= 1.0):
                 raise ParameterError(f"{name} = {v} outside [0, 1]")
-        for name in ("T_L", "T_M", "T_R"):
-            if not getattr(self, name) > 0:
-                raise ParameterError(f"{name} must be positive")
-        for name in ("gamma_L", "gamma_M", "gamma_R"):
-            if not getattr(self, name) > 0:
-                raise ParameterError(f"{name} must be positive")
+        for name in ("omega_L", "omega_M", "T_L", "T_M", "T_R",
+                     "gamma_L", "gamma_M", "gamma_R"):
+            v = getattr(self, name)
+            if not 0 < v < inf:
+                raise ParameterError(f"{name} = {v} must be positive and finite")
 
     @property
     def omega_R(self) -> float:

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from qtransistor.cli import main
 from qtransistor.experiments import CSV_HEADER
@@ -114,3 +115,38 @@ def test_populations_rejects_other_axis(tmp_path):
                    "T_R = 0.5\ngamma = 0.002\naxis = T_L\nlo = 1\nhi = 2\n"
                    "points = 4\n")
     assert main(["populations", "--config", str(cfg)]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--config", "fig9a", "--points", "3"],
+    ["populations", "--config", "fig6", "--points", "4"],
+    ["modulate", "--config", "fig8"],
+    ["channels-dump", "--config", "fig2"],
+])
+def test_stdout_and_out_file_get_the_same_bytes(argv, tmp_path, capsysbinary):
+    out = tmp_path / "out.txt"
+    assert main(argv) == 0
+    printed = capsysbinary.readouterr().out
+    assert main([*argv, "--out", str(out)]) == 0
+    assert capsysbinary.readouterr().out == b""
+    assert out.read_bytes() == printed
+
+
+_BASE_CONFIG = ("omega_L = 30\nomega_M = 1\ng = 0.1\nT_L = 5\nT_M = 1\n"
+                "T_R = 0.5\ngamma = 0.002\n")
+
+
+def test_non_finite_parameter_exit_code(tmp_path, capsys):
+    cfg = tmp_path / "hot.cfg"
+    cfg.write_text(_BASE_CONFIG.replace("T_L = 5", "T_L = inf")
+                   + "axis = T_M\nlo = 0.5\nhi = 1.5\npoints = 3\n")
+    assert main(["sweep", "--config", str(cfg)]) == 2
+    assert "T_L" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["sweep", "populations"])
+def test_fractional_points_exit_code(command, tmp_path, capsys):
+    cfg = tmp_path / "frac.cfg"
+    cfg.write_text(_BASE_CONFIG + "axis = T_M\nlo = 0.5\nhi = 1.5\npoints = 2.7\n")
+    assert main([command, "--config", str(cfg)]) == 2
+    assert "points" in capsys.readouterr().err

@@ -61,6 +61,20 @@ class TestConfigParsing:
             params_from_config(parse_config(
                 "omega_L=30\nomega_M=1\ng=0.1\nT_L=5\nT_M=1\ngamma=0.002"))
 
+    def test_lambdas_default_and_decay_rates_need_gamma(self):
+        base = "omega_L=30\nomega_M=1\ng=0.1\nT_L=5\nT_M=1\nT_R=0.5\n"
+        params = params_from_config(parse_config(base + "gamma=0.002"))
+        assert (params.lambda1, params.lambda2, params.lambda3) == (0.0, 0.0, 0.0)
+        with pytest.raises(ConfigError, match="missing 'gamma_M' \\(or a common 'gamma'\\)"):
+            params_from_config(parse_config(base + "gamma_L=0.002"))
+
+    @pytest.mark.parametrize("points", ["2.7", "inf", "nan"])
+    def test_non_integral_points_rejected(self, points):
+        cfg = load_config("fig9a")
+        cfg["points"] = points
+        with pytest.raises(ConfigError, match="points"):
+            sweep_from_config(cfg)
+
     def test_presets_all_parse(self):
         from qtransistor.experiments import drive_from_config
 

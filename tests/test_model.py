@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -50,6 +51,12 @@ class TestSystemParams:
     def test_rejects_negative_g(self, fig2_params):
         with pytest.raises(ParameterError):
             fig2_params.replace(g=-0.1)
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(SystemParams)])
+    def test_rejects_non_finite(self, fig2_params, field, value):
+        with pytest.raises(ParameterError, match=field):
+            fig2_params.replace(**{field: value})
 
 
 class TestHamiltonian:
