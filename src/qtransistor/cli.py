@@ -22,6 +22,7 @@ import sys
 
 from .channels import channel_table, channels_analytic
 from .experiments import (
+    CELL_FORMAT,
     ConfigError,
     _get_float,
     _get_int,
@@ -124,10 +125,9 @@ def _cmd_modulate(args) -> int:
     ]
     write_lines(lines, args.out)
     if args.trajectory_out is not None:
-        rows = ["t,rho44"]
-        rows += [f"{fmt(t)},{fmt(r)}"
-                 for t, r in zip(report.times, report.rho44_trajectory)]
-        write_lines(rows, args.trajectory_out)
+        row = f"{CELL_FORMAT},{CELL_FORMAT}"
+        pairs = zip(report.times.tolist(), report.rho44_trajectory.tolist())
+        write_lines(["t,rho44", *(row % pair for pair in pairs)], args.trajectory_out)
     return EXIT_OK
 
 

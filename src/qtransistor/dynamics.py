@@ -1,14 +1,17 @@
 """Master-equation dynamics: rate equations, steady states, full evolution.
 
 In the energy eigenbasis the populations close on themselves: they obey a
-classical rate equation p' = W p.  One batched kernel, `solve`, computes
-every per-point number of the package.  For N operating points it builds
-the transition table as (N, 24) arrays (a row per channel amplitude, in
-the order of channels.TRANSITIONS), assembles W as (N, 8, 8), finds every
-steady state, dark-pinned ones included, by one GTH state reduction, takes
-the heat currents and the residual max|W p| from the same rows, and gets
-the amplification factors from one batched linear-response solve; nothing
-in it loops over points or channels.  rate_matrix, steady_state and (in
+classical rate equation p' = W p.  One batched kernel, `_solve`, computes
+every per-point number of the package.  It takes the (N, 12) input rows of
+N operating points (the SystemParams fields in order, as sweep grids are
+built column-wise) and dark-state pins as arrays; `solve` is its adapter
+for a list of SystemParams.  It builds the transition table as (N, 24)
+arrays (a row per channel amplitude, in the order of channels.TRANSITIONS),
+assembles W as (N, 8, 8), finds every steady state, dark-pinned ones
+included, by one GTH state reduction, takes the heat currents and the
+residual max|W p| from the same rows, and gets the amplification factors
+from one batched linear-response solve; nothing in it loops over points
+or channels.  rate_matrix, steady_state and (in
 observables) heat_currents and amplification_factor are its N = 1 calls.
 Its eigenvalues, mixing angles and Bose occupations are the numpy ufunc
 closed forms model.closed_forms and _nbar, which the scalar helpers
@@ -27,7 +30,7 @@ from __future__ import annotations
 import math
 import operator
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -41,6 +44,7 @@ from .channels import (
     transition_amplitudes,
 )
 from .model import (
+    FIELD_NAMES,
     RESERVOIRS,
     EigenSystem,
     ParameterError,
@@ -96,7 +100,7 @@ def bose_occupation(omega: float, T: float) -> float:
 
 
 # the SystemParams fields the kernel reads, as the columns of its input
-_FIELDS = operator.attrgetter(*(field.name for field in fields(SystemParams)))
+_FIELDS = operator.attrgetter(*FIELD_NAMES)
 
 # flat indices into a row-major 8x8 W: transfer j -> i sits at W[i, j] and
 # i -> j at W[j, i]; the 24 pairs are distinct, so each entry is set once
@@ -111,6 +115,17 @@ _INCIDENCE = np.eye(8)[ROW_J] - np.eye(8)[ROW_I]
 def _inputs(params: Sequence[SystemParams]) -> np.ndarray:
     """(N, 12) kernel input, columns in _FIELDS order."""
     return np.array([_FIELDS(p) for p in params], dtype=float).reshape(len(params), 12)
+
+
+def _dark(x: np.ndarray) -> np.ndarray:
+    """Which input rows have fully common coupling, lambda = (1, 1, 1)."""
+    return (x[:, 9:] == 1.0).all(axis=1)
+
+
+def _pins(rho44_init: Sequence[float | None]) -> tuple[np.ndarray, np.ndarray]:
+    """Kernel form of per-point pins: which points are pinned, and rho44 (0 where not)."""
+    pinned = np.array([r is not None for r in rho44_init], dtype=bool)
+    return pinned, np.array([0.0 if r is None else r for r in rho44_init], dtype=float)
 
 
 class _Table(NamedTuple):
@@ -319,19 +334,18 @@ class _Steady(NamedTuple):
     failures: _Failures
 
 
-def _steady(params: Sequence[SystemParams], rho44_init: Sequence[float | None]) -> _Steady:
-    """Steady states of N points by one GTH pass over their generators.
+def _steady(x: np.ndarray, pinned: np.ndarray, rho44: np.ndarray) -> _Steady:
+    """Steady states of the N input rows x by one GTH pass over their generators.
 
-    A dark state (fully common coupling) has no rates; drained 3 -> 0 at
-    unit rate it holds no population and leaves the other seven balances
-    as they are, which are then scaled to 1 - rho44, with rho44 at state 3.
+    pinned[n] says whether point n has a dark-state pin, rho44[n] its value
+    (0 where it has none).  A dark state (fully common coupling) has no
+    rates; drained 3 -> 0 at unit rate it holds no population and leaves
+    the other seven balances as they are, which are then scaled to
+    1 - rho44, with rho44 at state 3.
     """
-    n_points = len(params)
-    x = _inputs(params)
+    n_points = len(x)
     failures = _Failures(n_points)
-    dark = (x[:, 9:] == 1.0).all(axis=1)
-    pinned = np.array([r is not None for r in rho44_init], dtype=bool)
-    rho44 = np.array([0.0 if r is None else r for r in rho44_init], dtype=float)
+    dark = _dark(x)
     if dark.any() or pinned.any():  # else no pin can be missing, superfluous or out of range
         failures.record(dark & ~pinned, UnderdeterminedError,
                         "fully common coupling leaves the dark-state population free; "
@@ -404,14 +418,31 @@ def solve(
     undefined nbar, SteadyStateError for a state without outflow,
     DegenerateControlError where dQ_M/dT == 0.  The other points are solved
     as if it were absent.  Only an unknown control terminal raises.
+
+    The kernel is `_solve`, which takes the (N, 12) input rows; this is its
+    adapter for a list of SystemParams.
     """
-    if control is not None and control not in RESERVOIRS:
-        raise ParameterError("control terminal must be one of 'L', 'M', 'R'")
     if rho44_init is None:
         rho44_init = [None] * len(params)
     if len(rho44_init) != len(params):
         raise ValueError("rho44_init needs one entry (a pin or None) per parameter set")
-    t, W, p, failures = _steady(params, rho44_init)
+    return _solve(_inputs(params), *_pins(rho44_init), control)
+
+
+def _solve(
+    x: np.ndarray,
+    pinned: np.ndarray,
+    rho44: np.ndarray,
+    control: str | None = None,
+) -> Solution:
+    """`solve` on (N, 12) input rows x, columns in _FIELDS order.
+
+    The rows must lie in the SystemParams domain (see model.check_rows);
+    pinned and rho44 are the pins in the form `_steady` takes them.
+    """
+    if control is not None and control not in RESERVOIRS:
+        raise ParameterError("control terminal must be one of 'L', 'M', 'R'")
+    t, W, p, failures = _steady(x, pinned, rho44)
     flow = _flow(t.down, t.up, p)
     currents = _currents(t, flow)
     residual = np.max(np.abs(_rate_of_change(flow)), axis=1)
@@ -458,7 +489,7 @@ def steady_state(params: SystemParams, rho44_init: float | None = None) -> np.nd
     empty, the other seven states are scaled to 1 - rho44_init and state 3
     gets rho44_init.  This is the first stage of `solve` for one point.
     """
-    steady = _steady([params], [rho44_init])
+    steady = _steady(_inputs([params]), *_pins([rho44_init]))
     _raise_first(steady.failures.errors)
     return steady.populations[0]
 
@@ -602,10 +633,13 @@ class DriveSpec:
     pair: tuple[int, int] = (3, 7)
 
     def __post_init__(self):
-        if not self.Omega > 0:
-            raise ParameterError("driving strength Omega must be positive")
-        if self.delta_t < 0:
-            raise ParameterError("drive duration must be non-negative")
+        # each chained comparison is False for nan, so it also rejects nan
+        if not 0 < self.Omega < math.inf:
+            raise ParameterError(f"driving strength Omega = {self.Omega} "
+                                 "must be positive and finite")
+        if not 0 <= self.delta_t < math.inf:
+            raise ParameterError(f"drive duration delta_t = {self.delta_t} "
+                                 "must be non-negative and finite")
         a, b = self.pair
         if not (0 <= a < 8 and 0 <= b < 8 and a != b):
             raise ParameterError("driven pair must be two distinct indices in 0..7")

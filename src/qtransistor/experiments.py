@@ -2,27 +2,52 @@
 
 A run is defined by a flat key = value config (one assignment per line,
 '#' comments): the SystemParams fields (or a common 'gamma') plus a sweep
-axis.  Every grid is a SweepSpec, the population curves' too, and every
-command solves all of its operating points in one call of the batched
-kernel dynamics.solve (run_modulation in two, as its second state depends
-on the first).  write_lines writes all text, to a file or stdout.  Every
-output row carries the resolved inputs needed to reproduce it, numbers are
-written with 17 significant digits and no timestamps enter the data, so
-identical configs yield bit-identical files.
+axis.  A sweep stays in columns from grid to CSV: `_grid` repeats the base
+point's kernel input row and writes the swept columns (the grid of every
+SweepSpec, of the population curves and of observables.optimize_lambda),
+one vectorised check (model.check_rows) validates all rows, and the
+batched kernel dynamics._solve takes them as they are, all of a command's
+operating points in one call (run_modulation in two, as its second state
+depends on the first).  No SystemParams is built per grid point:
+RunRecord.params is made from the record's row when read.  Each CSV row
+is one %-format of its numbers, CELL_FORMAT per cell, and write_lines
+writes all text, to a file or stdout.  Every output row carries the
+resolved inputs needed to reproduce it, numbers are written with 17
+significant digits and no timestamps enter the data, so identical configs
+yield bit-identical files.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import sys
 import time
+from collections.abc import Mapping
 from dataclasses import MISSING, dataclass, fields
+from functools import cached_property
 
 import numpy as np
 
-from .dynamics import DriveSpec, Solution, _raise_first, _solve_point, apply_drive, solve
-from .model import ParameterError, SecularReport, SystemParams, validate_secular
+from .dynamics import (
+    DriveSpec,
+    Solution,
+    _dark,
+    _inputs,
+    _raise_first,
+    _solve,
+    _solve_point,
+    apply_drive,
+)
+from .model import (
+    FIELD_NAMES,
+    ParameterError,
+    SecularReport,
+    SystemParams,
+    check_rows,
+    validate_secular,
+)
 from .observables import AmplificationResult, HeatCurrentTriple
 
 SWEEP_AXES = (
@@ -48,9 +73,13 @@ class DarkStateError(ParameterError):
     """Operation requires the fully common coupling lambda = (1, 1, 1)."""
 
 
+# one number in every written file: 17 significant digits, round-trip exact
+CELL_FORMAT = "%.16e"
+
+
 def fmt(value: float) -> str:
-    """17-significant-digit scientific notation (round-trip exact)."""
-    return f"{value:.16e}"
+    """One number in CELL_FORMAT."""
+    return CELL_FORMAT % value
 
 
 def write_lines(lines: list[str], path: str | None) -> None:
@@ -79,6 +108,8 @@ class SweepSpec:
     def __post_init__(self):
         if self.axis not in SWEEP_AXES:
             raise ConfigError(f"unknown sweep axis {self.axis!r}; expected one of {SWEEP_AXES}")
+        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
+            raise ConfigError(f"sweep range lo = {self.lo}, hi = {self.hi} must be finite")
         if not self.lo < self.hi:
             raise ConfigError("sweep range must satisfy lo < hi")
         if self.points < 2:
@@ -94,31 +125,58 @@ class SweepSpec:
 
     def resolve(self, value: float) -> tuple[SystemParams, float | None]:
         """Parameters and dark-state pin at one grid point."""
-        base = self.base
-        rho44 = self.rho44_init
-        if self.axis == "gamma_bias":
-            params = base.replace(gamma_L=value * base.gamma_M,
-                                  gamma_R=value * base.gamma_M)
-        elif self.axis == "rho44_init":
-            params = base
-            rho44 = value
+        x, pinned, rho44 = _grid(self.base, {self.axis: np.array([value], dtype=float)},
+                                 self.rho44_init)
+        return SystemParams(*x[0].tolist()), float(rho44[0]) if pinned[0] else None
+
+
+_COLUMN = {name: k for k, name in enumerate(FIELD_NAMES)}
+_GAMMA_BIAS_COLUMNS = [_COLUMN["gamma_L"], _COLUMN["gamma_R"]]
+
+
+def _grid(
+    base: SystemParams,
+    columns: Mapping[str, np.ndarray],
+    rho44_init: float | None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Kernel input rows of a grid around base, and their dark-state pins.
+
+    columns maps each swept axis (one of SWEEP_AXES) to its N values: row n
+    is base's row with every axis at its n-th value.  A gamma_bias value b
+    writes gamma_L = gamma_R = b * gamma_M, and rho44_init values are the
+    pins instead of the rho44_init argument.  A point is pinned only where
+    its coupling is fully common.  Returns the (N, 12) rows and the pins as
+    dynamics._solve takes them; raises what SystemParams raises for the
+    first row outside its domain.
+    """
+    n = len(next(iter(columns.values())))
+    x = np.repeat(_inputs([base]), n, axis=0)
+    rho44 = np.full(n, 0.0 if rho44_init is None else rho44_init)
+    has_pin = rho44_init is not None
+    for axis, values in columns.items():
+        if axis == "gamma_bias":
+            x[:, _GAMMA_BIAS_COLUMNS] = (values * base.gamma_M)[:, None]
+        elif axis == "rho44_init":
+            rho44, has_pin = values, True
         else:
-            params = base.replace(**{self.axis: value})
-        if not params.fully_common:
-            rho44 = None
-        return params, rho44
+            x[:, _COLUMN[axis]] = values
+    check_rows(x)
+    pinned = _dark(x) & has_pin
+    return x, pinned, np.where(pinned, rho44, 0.0)
 
 
 @dataclass(frozen=True)
 class RunRecord:
     """One fully resolved sweep point with everything needed to re-run it.
 
-    wall_time is the point's share of its sweep: the time of the one
-    batched solve (and the secular checks) over the number of points.
+    row is the point's kernel input (the SystemParams fields in order), and
+    params the SystemParams built from it when first read.  wall_time is
+    the point's share of its sweep: the time of the one batched solve (and
+    the secular checks) over the number of points.
     """
 
     axis_value: float
-    params: SystemParams
+    row: np.ndarray
     rho44_init: float | None
     populations: np.ndarray | None
     currents: HeatCurrentTriple | None
@@ -127,16 +185,30 @@ class RunRecord:
     wall_time: float
     error: str | None = None
 
+    @cached_property
+    def params(self) -> SystemParams:
+        return SystemParams(*self.row.tolist())
+
 
 def _currents_of(sol: Solution, n: int) -> HeatCurrentTriple:
     return HeatCurrentTriple(*map(float, sol.currents[n]),
                              steady_residual=float(sol.residual[n]))
 
 
-def _secular_key(params: SystemParams) -> tuple[float, ...]:
-    # every input validate_secular reads
-    return (params.omega_L, params.omega_M, params.g,
-            params.gamma_L, params.gamma_M, params.gamma_R)
+# the columns validate_secular reads: omega_L, omega_M, g and the gammas
+_SECULAR_COLUMNS = [_COLUMN[name] for name in
+                    ("omega_L", "omega_M", "g", "gamma_L", "gamma_M", "gamma_R")]
+
+
+def _secular_reports(x: np.ndarray) -> list[SecularReport]:
+    """validate_secular of each input row, evaluated once per distinct input it reads."""
+    reports: dict[tuple[float, ...], SecularReport] = {}
+    out = []
+    for n, key in enumerate(map(tuple, x[:, _SECULAR_COLUMNS].tolist())):
+        if key not in reports:
+            reports[key] = validate_secular(SystemParams(*x[n].tolist()))
+        out.append(reports[key])
+    return out
 
 
 def run_sweep(spec: SweepSpec) -> list[RunRecord]:
@@ -148,55 +220,60 @@ def run_sweep(spec: SweepSpec) -> list[RunRecord]:
     """
     t0 = time.perf_counter()
     values = spec.values()
-    params, pins = zip(*(spec.resolve(value) for value in values))
+    x, pinned, rho44 = _grid(spec.base, {spec.axis: values}, spec.rho44_init)
     want_alpha = "alpha" in spec.outputs
-    sol = solve(params, pins, spec.control if want_alpha else None)
-    secular: dict[tuple[float, ...], SecularReport] = {}
-    for point in params:
-        key = _secular_key(point)
-        if key not in secular:
-            secular[key] = validate_secular(point)
+    want_currents = "currents" in spec.outputs
+    sol = _solve(x, pinned, rho44, spec.control if want_alpha else None)
+    secular = _secular_reports(x)
     share = (time.perf_counter() - t0) / len(values)
 
+    solved = ~np.isnan(sol.populations[:, 0])
+    currents, residual, alpha = sol.currents.tolist(), sol.residual.tolist(), sol.alpha.tolist()
     records = []
-    for n, (value, point, rho44, error) in enumerate(zip(values, params, pins, sol.errors)):
-        solved = not np.isnan(sol.populations[n, 0])
-        amplification = None
-        if want_alpha and error is None:
-            amplification = AmplificationResult(*map(float, sol.alpha[n]), spec.control)
+    for n, (value, ok, pin, error) in enumerate(
+            zip(values.tolist(), solved.tolist(), pinned.tolist(), sol.errors)):
         records.append(RunRecord(
-            axis_value=float(value),
-            params=point,
-            rho44_init=rho44,
-            populations=sol.populations[n] if solved else None,
-            currents=_currents_of(sol, n) if solved and "currents" in spec.outputs else None,
-            amplification=amplification,
-            secular=secular[_secular_key(point)],
+            axis_value=value,
+            row=x[n],
+            rho44_init=float(rho44[n]) if pin else None,
+            populations=sol.populations[n] if ok else None,
+            currents=(HeatCurrentTriple(*currents[n], steady_residual=residual[n])
+                      if ok and want_currents else None),
+            amplification=(AmplificationResult(*alpha[n], spec.control)
+                           if want_alpha and error is None else None),
+            secular=secular[n],
             wall_time=share,
             error=None if error is None else f"{type(error).__name__}: {error}",
         ))
     return records
 
 
+def _sweep_format(currents: bool, alpha: bool, populations: bool) -> str:
+    """Row format of a sweep record: the numbers it has, blanks for the rest, flag, error."""
+    groups = ((True, 1), (currents, 3), (alpha, 2), (populations, 8))
+    return ",".join([CELL_FORMAT if on else "" for on, size in groups for _ in range(size)]
+                    + ["%s", "%s"])
+
+
+# keyed on which of currents, alpha and populations a record has
+_SWEEP_FORMATS = {has: _sweep_format(*has) for has in itertools.product((False, True), repeat=3)}
+
+
 def sweep_rows(records: list[RunRecord]) -> list[str]:
     rows = []
     for rec in records:
-        cells = [fmt(rec.axis_value)]
-        if rec.currents is not None:
-            cells += [fmt(rec.currents.Q_L), fmt(rec.currents.Q_M), fmt(rec.currents.Q_R)]
-        else:
-            cells += ["", "", ""]
-        if rec.amplification is not None:
-            cells += [fmt(rec.amplification.alpha_L), fmt(rec.amplification.alpha_R)]
-        else:
-            cells += ["", ""]
-        if rec.populations is not None:
-            cells += [fmt(p) for p in rec.populations]
-        else:
-            cells += [""] * 8
-        cells.append("PASS" if rec.secular is not None and rec.secular.passed else "WARN")
-        cells.append("" if rec.error is None else rec.error.replace(",", ";"))
-        rows.append(",".join(cells))
+        q, a, p = rec.currents, rec.amplification, rec.populations
+        numbers = [rec.axis_value]
+        if q is not None:
+            numbers += (q.Q_L, q.Q_M, q.Q_R)
+        if a is not None:
+            numbers += (a.alpha_L, a.alpha_R)
+        if p is not None:
+            numbers += p.tolist()
+        flag = "PASS" if rec.secular is not None and rec.secular.passed else "WARN"
+        error = "" if rec.error is None else rec.error.replace(",", ";")
+        rows.append(_SWEEP_FORMATS[q is not None, a is not None, p is not None]
+                    % (*numbers, flag, error))
     return rows
 
 
@@ -288,11 +365,12 @@ def run_populations(
     rho44_init: float | None = None,
 ) -> PopulationCurves:
     """Steady populations versus T_M for the base and a comparison lambda1."""
-    specs = [SweepSpec(base, "T_M", lo, hi, points, rho44_init=rho44_init)
-             for base in (params, params.replace(lambda1=compare_lambda1))]
-    values = specs[0].values()
-    curves, pins = zip(*(spec.resolve(T_M) for spec in specs for T_M in values))
-    sol = solve(curves, pins)
+    values = SweepSpec(params, "T_M", lo, hi, points, rho44_init=rho44_init).values()
+    x, pinned, rho44 = _grid(params, {
+        "T_M": np.tile(values, 2),
+        "lambda1": np.repeat([params.lambda1, compare_lambda1], points),
+    }, rho44_init)
+    sol = _solve(x, pinned, rho44)
     _raise_first(sol.errors)
     pops, pops_cmp = sol.populations[:points], sol.populations[points:]
     return PopulationCurves(
@@ -311,15 +389,12 @@ POPULATION_CSV_HEADER = (
 )
 
 
+_POPULATION_ROW = ",".join([CELL_FORMAT] * 17)
+
+
 def population_rows(curves: PopulationCurves) -> list[str]:
-    diff = curves.difference
-    rows = []
-    for n, v in enumerate(curves.axis_values):
-        cells = [fmt(v)]
-        cells += [fmt(x) for x in curves.populations[n]]
-        cells += [fmt(x) for x in diff[n]]
-        rows.append(",".join(cells))
-    return rows
+    table = np.column_stack([curves.axis_values, curves.populations, curves.difference])
+    return [_POPULATION_ROW % tuple(row) for row in table.tolist()]
 
 
 def write_population_csv(curves: PopulationCurves, path: str | None) -> None:

@@ -16,7 +16,7 @@ units of omega_0):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -26,6 +26,12 @@ RESERVOIRS = ("L", "M", "R")
 
 class ParameterError(ValueError):
     """A physical parameter is outside its allowed domain."""
+
+
+# the domains SystemParams.__post_init__ checks: g in [0, inf), the
+# lambdas in [0, 1], every other field in (0, inf)
+_UNIT_FIELDS = ("lambda1", "lambda2", "lambda3")
+_POSITIVE_FIELDS = ("omega_L", "omega_M", "T_L", "T_M", "T_R", "gamma_L", "gamma_M", "gamma_R")
 
 
 @dataclass(frozen=True)
@@ -55,12 +61,11 @@ class SystemParams:
         inf = math.inf
         if not 0 <= self.g < inf:
             raise ParameterError(f"coupling g = {self.g} must be non-negative and finite")
-        for name in ("lambda1", "lambda2", "lambda3"):
+        for name in _UNIT_FIELDS:
             v = getattr(self, name)
             if not (0.0 <= v <= 1.0):
                 raise ParameterError(f"{name} = {v} outside [0, 1]")
-        for name in ("omega_L", "omega_M", "T_L", "T_M", "T_R",
-                     "gamma_L", "gamma_M", "gamma_R"):
+        for name in _POSITIVE_FIELDS:
             v = getattr(self, name)
             if not 0 < v < inf:
                 raise ParameterError(f"{name} = {v} must be positive and finite")
@@ -82,6 +87,30 @@ class SystemParams:
 
     def replace(self, **changes) -> "SystemParams":
         return replace(self, **changes)
+
+
+FIELD_NAMES = tuple(field.name for field in fields(SystemParams))
+
+# per column of an input row: the largest value allowed, and whether 0 is
+_ROW_MAX = np.array([1.0 if name in _UNIT_FIELDS else np.finfo(float).max
+                     for name in FIELD_NAMES])
+_ROW_ZERO_OK = np.array([name not in _POSITIVE_FIELDS for name in FIELD_NAMES])
+
+
+def check_rows(x: np.ndarray) -> None:
+    """Raise what SystemParams raises for the first row of x it rejects.
+
+    x holds (N, 12) input rows, columns in FIELD_NAMES order.  The domains
+    of __post_init__ are tested on all rows at once (a comparison with nan
+    is False, so nan is rejected, and -0.0 passes where 0 does); the first
+    failing row is then built as a SystemParams, so each message is stated
+    only in __post_init__.
+    """
+    ok = (x >= 0.0) & (x <= _ROW_MAX) & ((x > 0.0) | _ROW_ZERO_OK)
+    bad = np.flatnonzero(~ok.all(axis=1))
+    if bad.size:
+        SystemParams(*x[bad[0]].tolist())
+        raise AssertionError(f"check_rows rejects row {bad[0]}, which SystemParams accepts")
 
 
 class MixingAngles(NamedTuple):

@@ -8,7 +8,6 @@ frequencies).
 
 from __future__ import annotations
 
-import itertools
 import warnings
 from dataclasses import dataclass
 
@@ -21,10 +20,10 @@ from .dynamics import (
     _flow,
     _point_table,
     _rate_of_change,
+    _solve,
     _solve_point,
     dissipator_superoperator,
     rate_matrix,
-    solve,
     steady_state,
 )
 from .model import ParameterError, SystemParams, analytic_eigensystem
@@ -238,13 +237,13 @@ def optimize_lambda(
     else:
         grids = tuple(np.linspace(0.0, 1.0, resolution) for _ in free)
 
+    from .experiments import _grid  # experiments imports this module
+
     shape = tuple(g.size for g in grids)
-    points = [
-        params_base.replace(**{name: float(grids[ax][i])
-                               for ax, (name, i) in enumerate(zip(free, idx))})
-        for idx in itertools.product(*(range(n) for n in shape))
-    ]
-    sol = solve(points, [rho44_init if p.fully_common else None for p in points], control)
+    mesh = np.meshgrid(*grids, indexing="ij")
+    x, pinned, rho44 = _grid(params_base, {name: m.ravel() for name, m in zip(free, mesh)},
+                             rho44_init)
+    sol = _solve(x, pinned, rho44, control)
     for error in sol.errors:
         if error is not None and not isinstance(error, (DegenerateControlError, SteadyStateError)):
             raise error

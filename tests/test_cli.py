@@ -3,6 +3,7 @@ import pytest
 
 from qtransistor.cli import main
 from qtransistor.experiments import CSV_HEADER
+from qtransistor.presets import PRESETS
 
 
 def test_validate_subcommand(capsys):
@@ -150,3 +151,28 @@ def test_fractional_points_exit_code(command, tmp_path, capsys):
     cfg.write_text(_BASE_CONFIG + "axis = T_M\nlo = 0.5\nhi = 1.5\npoints = 2.7\n")
     assert main([command, "--config", str(cfg)]) == 2
     assert "points" in capsys.readouterr().err
+
+
+def test_infinite_sweep_range_exit_code(tmp_path, capsys):
+    cfg = tmp_path / "wide.cfg"
+    cfg.write_text(_BASE_CONFIG + "axis = T_M\nlo = 0.5\nhi = inf\npoints = 3\n")
+    assert main(["sweep", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: sweep range lo = 0.5, hi = inf must be finite\n"
+
+
+@pytest.mark.parametrize("key, value, named", [
+    ("drive_Omega", "inf", "Omega = inf"),
+    ("drive_Omega", "nan", "Omega = nan"),
+    ("drive_duration", "nan", "delta_t = nan"),
+    ("drive_duration", "inf", "delta_t = inf"),
+])
+def test_non_finite_drive_exit_code(key, value, named, tmp_path, capsys):
+    lines = [f"{key} = {value}" if line.startswith(key) else line
+             for line in PRESETS["fig8"].splitlines()]
+    cfg = tmp_path / "drive.cfg"
+    cfg.write_text("\n".join(lines) + "\n")
+    assert main(["modulate", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert named in err and "rho44_init" not in err

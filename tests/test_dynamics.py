@@ -614,3 +614,11 @@ class TestApplyDrive:
             DriveSpec(Omega=1.0, delta_t=-1.0)
         with pytest.raises(ParameterError):
             DriveSpec(Omega=1.0, delta_t=1.0, pair=(3, 9))
+
+    @pytest.mark.parametrize("Omega, delta_t, field", [
+        (math.inf, 1.0, "Omega"), (math.nan, 1.0, "Omega"),
+        (1.0, math.inf, "delta_t"), (1.0, math.nan, "delta_t"),
+    ])
+    def test_drive_spec_rejects_non_finite(self, Omega, delta_t, field):
+        with pytest.raises(ParameterError, match=f"{field} = .* finite"):
+            DriveSpec(Omega=Omega, delta_t=delta_t)

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -8,12 +9,16 @@ from qtransistor import (
     ConfigError,
     DarkStateError,
     DriveSpec,
+    ParameterError,
     SweepSpec,
+    optimize_lambda,
     run_modulation,
     run_populations,
     run_sweep,
+    validate_secular,
     write_sweep_csv,
 )
+from qtransistor.dynamics import solve
 from qtransistor.experiments import (
     CSV_HEADER,
     load_config,
@@ -115,6 +120,13 @@ class TestSweepSpec:
         assert params.gamma_R == pytest.approx(3.0 * fig2_params.gamma_M)
         assert params.gamma_M == fig2_params.gamma_M
         assert rho44 is None
+
+    @pytest.mark.parametrize("lo, hi", [
+        (0.5, math.inf), (-math.inf, 1.5), (math.nan, 1.5), (0.5, math.nan),
+    ])
+    def test_non_finite_range_rejected(self, fig2_params, lo, hi):
+        with pytest.raises(ConfigError, match="sweep range lo = .* must be finite"):
+            SweepSpec(base=fig2_params, axis="T_M", lo=lo, hi=hi, points=5)
 
     def test_rho44_axis_resolution(self, dark_params):
         spec = SweepSpec(base=dark_params, axis="rho44_init", lo=0.0, hi=0.9,
@@ -253,3 +265,102 @@ class TestRunPopulations:
     def test_range_validation(self, fig2_params):
         with pytest.raises(ConfigError):
             run_populations(fig2_params, lo=2.0, hi=1.0, points=5)
+
+
+SWEEP_PRESETS = [name for name, text in PRESETS.items()
+                 if "axis" in parse_config(text) and name != "fig6"]
+
+
+def reference_points(spec):
+    """Each grid point's params and pin, built one by one with dataclasses.replace."""
+    params, pins = [], []
+    for value in spec.values():
+        base, pin = spec.base, spec.rho44_init
+        if spec.axis == "gamma_bias":
+            point = dataclasses.replace(base, gamma_L=value * base.gamma_M,
+                                        gamma_R=value * base.gamma_M)
+        elif spec.axis == "rho44_init":
+            point, pin = base, value
+        else:
+            point = dataclasses.replace(base, **{spec.axis: value})
+        params.append(point)
+        pins.append(pin if point.fully_common else None)
+    return params, pins
+
+
+def reference_rows(spec):
+    """The sweep CSV rows of spec, solved from reference_points, formatted cell by cell."""
+    params, pins = reference_points(spec)
+    want_alpha = "alpha" in spec.outputs
+    sol = solve(params, pins, spec.control if want_alpha else None)
+    rows = []
+    for n, (value, point, error) in enumerate(zip(spec.values(), params, sol.errors)):
+        solved = not np.isnan(sol.populations[n, 0])
+        cells = [f"{value:.16e}"]
+        with_q = solved and "currents" in spec.outputs
+        cells += [f"{q:.16e}" for q in sol.currents[n]] if with_q else [""] * 3
+        with_alpha = want_alpha and error is None
+        cells += [f"{a:.16e}" for a in sol.alpha[n]] if with_alpha else [""] * 2
+        cells += [f"{p:.16e}" for p in sol.populations[n]] if solved else [""] * 8
+        cells.append("PASS" if validate_secular(point).passed else "WARN")
+        cells.append("" if error is None else f"{type(error).__name__}: {error}".replace(",", ";"))
+        rows.append(",".join(cells))
+    return rows
+
+
+class TestGridBuilder:
+    """The column-wise grid and row formats against the per-point route."""
+
+    def test_presets_cover_every_kind_of_axis(self):
+        axes = {parse_config(PRESETS[name])["axis"] for name in SWEEP_PRESETS}
+        assert {"T_M", "T_L", "T_R", "lambda1", "gamma_bias", "rho44_init"} <= axes
+
+    @pytest.mark.parametrize("preset", SWEEP_PRESETS)
+    def test_preset_rows_equal_the_per_point_route(self, preset):
+        spec = sweep_from_config(load_config(preset))
+        records = run_sweep(spec)
+        assert sweep_rows(records) == reference_rows(spec)
+        params, pins = reference_points(spec)
+        assert [rec.params for rec in records] == params
+        assert [rec.rho44_init for rec in records] == pins
+
+    @pytest.mark.parametrize("base, axis, lo, hi, rho44", [
+        ("dark_params", "lambda3", 0.5, 1.0, 0.4),  # lit points, then a dark-pinned one
+        ("dark_params", "T_M", 0.5, 1.5, None),     # dark points without a pin: error rows
+        ("fig2_params", "T_M", 0.001, 3.001, None),  # alpha undefined at the coldest point
+    ])
+    def test_mixed_and_failing_grids_equal_the_per_point_route(
+            self, request, base, axis, lo, hi, rho44):
+        spec = SweepSpec(base=request.getfixturevalue(base), axis=axis, lo=lo, hi=hi,
+                         points=6, rho44_init=rho44)
+        records = run_sweep(spec)
+        assert sweep_rows(records) == reference_rows(spec)
+        assert [rec.params for rec in records] == reference_points(spec)[0]
+        assert any(rec.error is not None for rec in records) == (rho44 is None)
+
+    def test_lambda_scan_equals_the_per_point_route(self, fig2_params):
+        base = fig2_params.replace(lambda3=1.0)
+        free, grid = ("lambda1", "lambda2"), np.linspace(0.0, 1.0, 5)
+        scan = optimize_lambda(base, free=free, resolution=5, rho44_init=0.5)
+        points = [dataclasses.replace(base, lambda1=l1, lambda2=l2)
+                  for l1, l2 in itertools.product(grid, grid)]
+        sol = solve(points, [0.5 if p.fully_common else None for p in points], "M")
+        np.testing.assert_array_equal(scan.alpha_L, sol.alpha[:, 0].reshape(5, 5))
+        assert scan.n_failed == sum(error is not None for error in sol.errors)
+
+    def test_population_curves_equal_the_per_point_route(self, dark_params):
+        curves = run_populations(dark_params, lo=0.5, hi=2.0, points=4,
+                                 compare_lambda1=0.3, rho44_init=0.2)
+        values = np.linspace(0.5, 2.0, 4)
+        points = [dataclasses.replace(dark_params, lambda1=l1, T_M=v)
+                  for l1 in (1.0, 0.3) for v in values]
+        sol = solve(points, [0.2 if p.fully_common else None for p in points])
+        np.testing.assert_array_equal(curves.populations, sol.populations[:4])
+        np.testing.assert_array_equal(curves.populations_compare, sol.populations[4:])
+
+    def test_out_of_domain_grid_names_its_first_bad_value(self, fig2_params):
+        spec = SweepSpec(base=fig2_params, axis="lambda1", lo=0.5, hi=1.5, points=11)
+        with pytest.raises(ParameterError, match=r"^lambda1 = 1\.1 outside \[0, 1\]$"):
+            run_sweep(spec)
+        with pytest.raises(ParameterError, match=r"^lambda1 = 1\.5 outside \[0, 1\]$"):
+            run_populations(fig2_params, lo=0.5, hi=1.5, points=3, compare_lambda1=1.5)

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -14,7 +15,13 @@ from qtransistor import (
     mixing_angle,
     validate_secular,
 )
-from qtransistor.model import analytic_eigenvalues, basis_index, min_distinct_bohr_gap
+from qtransistor.model import (
+    FIELD_NAMES,
+    analytic_eigenvalues,
+    basis_index,
+    check_rows,
+    min_distinct_bohr_gap,
+)
 
 from conftest import random_params
 
@@ -57,6 +64,46 @@ class TestSystemParams:
     def test_rejects_non_finite(self, fig2_params, field, value):
         with pytest.raises(ParameterError, match=field):
             fig2_params.replace(**{field: value})
+
+
+EDGE_VALUES = (0.0, -0.0, 1.0, np.nextafter(1.0, 2.0), -1.0, math.inf, -math.inf, math.nan)
+
+
+def rejection(call):
+    """The message of the ParameterError call raises, or None."""
+    try:
+        call()
+    except ParameterError as exc:
+        return str(exc)
+    return None
+
+
+def edge_rows(params):
+    """params' input row with one column at one edge value, for every pair."""
+    base = np.array([getattr(params, name) for name in FIELD_NAMES])
+    for column, value in itertools.product(range(len(FIELD_NAMES)), EDGE_VALUES):
+        row = base.copy()
+        row[column] = value
+        yield row
+
+
+class TestCheckRows:
+    """The vectorised domain check of grid rows against SystemParams."""
+
+    def test_rejects_exactly_the_rows_system_params_rejects(self, fig2_params):
+        for row in edge_rows(fig2_params):
+            expected = rejection(lambda: SystemParams(*row.tolist()))
+            assert rejection(lambda: check_rows(row[None])) == expected, row
+
+    def test_batch_raises_for_its_first_bad_row(self, fig2_params):
+        rows = np.array(list(edge_rows(fig2_params)))
+        messages = [rejection(lambda: SystemParams(*row.tolist())) for row in rows]
+        assert 0 < messages.count(None) < len(rows)
+        first = next(m for m in messages if m is not None)
+        assert rejection(lambda: check_rows(rows)) == first
+        assert rejection(lambda: check_rows(rows[::-1])) == next(
+            m for m in messages[::-1] if m is not None)
+        check_rows(rows[[m is None for m in messages]])
 
 
 class TestHamiltonian:
