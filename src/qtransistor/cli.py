@@ -10,9 +10,11 @@
 --config accepts a file path or a shipped preset name; without --out a
 command writes to stdout, and validate always does.  Each command solves
 all of its operating points in one batched call (see
-qtransistor.dynamics.solve); the argument parser is built once, when the
-module is imported.  Exit codes: 0 success, 2 invalid configuration or
-unwritable output, 3 every sweep point failed.
+qtransistor.dynamics.solve), and a sweep's CSV rows are formatted from
+that call's columns (experiments.SweepResult); the argument parser is
+built once, when the module is imported.  Exit codes: 0 success, 2 invalid
+configuration (a config file that is not UTF-8 included) or unwritable
+output, 3 every sweep point failed.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from .experiments import (
     _get_float,
     _get_int,
     drive_from_config,
+    error_text,
     fmt,
     load_config,
     params_from_config,
@@ -97,12 +100,13 @@ def _cmd_sweep(args) -> int:
     if args.control is not None:
         cfg["control"] = args.control
     spec = sweep_from_config(cfg)
-    records = run_sweep(spec)
-    if all(rec.error is not None for rec in records):
+    result = run_sweep(spec)
+    errors = result.solution.errors
+    if all(error is not None for error in errors):
         sys.stderr.write("error: every sweep point failed; first failure: "
-                         f"{records[0].error}\n")
+                         f"{error_text(errors[0])}\n")
         return EXIT_ALL_FAILED
-    write_sweep_csv(records, args.out)
+    write_sweep_csv(result, args.out)
     return EXIT_OK
 
 

@@ -8,25 +8,27 @@ SweepSpec, of the population curves and of observables.optimize_lambda),
 one vectorised check (model.check_rows) validates all rows, and the
 batched kernel dynamics._solve takes them as they are, all of a command's
 operating points in one call (run_modulation in two, as its second state
-depends on the first).  No SystemParams is built per grid point:
-RunRecord.params is made from the record's row when read.  Each CSV row
-is one %-format of its numbers, CELL_FORMAT per cell, and write_lines
-writes all text, to a file or stdout.  Every output row carries the
-resolved inputs needed to reproduce it, numbers are written with 17
-significant digits and no timestamps enter the data, so identical configs
-yield bit-identical files.
+depends on the first).  No object is built per grid point: run_sweep
+returns the sweep as columns (SweepResult: grid values, input rows, pins,
+the kernel's Solution and the secular-pass column of
+model.secular_checks), and sweep_rows formats each CSV row straight from
+them as one %-format, CELL_FORMAT per cell, the cells picked by the row's
+format.  write_lines writes all text, to a file or stdout.  Every output
+row carries the resolved inputs needed to reproduce it, numbers are
+written with 17 significant digits and no timestamps enter the data, so
+identical configs yield bit-identical files.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 import os
 import sys
-import time
-from collections.abc import Mapping
+from collections.abc import Callable, Mapping
 from dataclasses import MISSING, dataclass, fields
-from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,12 +45,11 @@ from .dynamics import (
 from .model import (
     FIELD_NAMES,
     ParameterError,
-    SecularReport,
     SystemParams,
     check_rows,
-    validate_secular,
+    secular_checks,
 )
-from .observables import AmplificationResult, HeatCurrentTriple
+from .observables import HeatCurrentTriple
 
 SWEEP_AXES = (
     "T_L", "T_M", "T_R",
@@ -165,29 +166,23 @@ def _grid(
     return x, pinned, np.where(pinned, rho44, 0.0)
 
 
-@dataclass(frozen=True)
-class RunRecord:
-    """One fully resolved sweep point with everything needed to re-run it.
+class SweepResult(NamedTuple):
+    """A sweep in columns; row n of each array belongs to the n-th grid point.
 
-    row is the point's kernel input (the SystemParams fields in order), and
-    params the SystemParams built from it when first read.  wall_time is
-    the point's share of its sweep: the time of the one batched solve (and
-    the secular checks) over the number of points.
+    values: (N,) axis values.  x: (N, 12) kernel input rows (the
+    SystemParams fields in order).  pinned, rho44: the dark-state pins as
+    _grid returns them.  solution: the one batched solve of the rows; a
+    point's domain error is solution.errors[n].  secular: (N,) whether the
+    point passes model.validate_secular.  outputs: the spec's outputs.
     """
 
-    axis_value: float
-    row: np.ndarray
-    rho44_init: float | None
-    populations: np.ndarray | None
-    currents: HeatCurrentTriple | None
-    amplification: AmplificationResult | None
-    secular: SecularReport | None
-    wall_time: float
-    error: str | None = None
-
-    @cached_property
-    def params(self) -> SystemParams:
-        return SystemParams(*self.row.tolist())
+    values: np.ndarray
+    x: np.ndarray
+    pinned: np.ndarray
+    rho44: np.ndarray
+    solution: Solution
+    secular: np.ndarray
+    outputs: tuple[str, ...]
 
 
 def _currents_of(sol: Solution, n: int) -> HeatCurrentTriple:
@@ -195,90 +190,59 @@ def _currents_of(sol: Solution, n: int) -> HeatCurrentTriple:
                              steady_residual=float(sol.residual[n]))
 
 
-# the columns validate_secular reads: omega_L, omega_M, g and the gammas
-_SECULAR_COLUMNS = [_COLUMN[name] for name in
-                    ("omega_L", "omega_M", "g", "gamma_L", "gamma_M", "gamma_R")]
-
-
-def _secular_reports(x: np.ndarray) -> list[SecularReport]:
-    """validate_secular of each input row, evaluated once per distinct input it reads."""
-    reports: dict[tuple[float, ...], SecularReport] = {}
-    out = []
-    for n, key in enumerate(map(tuple, x[:, _SECULAR_COLUMNS].tolist())):
-        if key not in reports:
-            reports[key] = validate_secular(SystemParams(*x[n].tolist()))
-        out.append(reports[key])
-    return out
-
-
-def run_sweep(spec: SweepSpec) -> list[RunRecord]:
+def run_sweep(spec: SweepSpec) -> SweepResult:
     """Evaluate every grid point in one batched solve; output follows the grid.
 
     A point whose solve fails keeps its populations and currents when only
     alpha failed, and records its domain error; the other points are
     unaffected.
     """
-    t0 = time.perf_counter()
     values = spec.values()
     x, pinned, rho44 = _grid(spec.base, {spec.axis: values}, spec.rho44_init)
-    want_alpha = "alpha" in spec.outputs
-    want_currents = "currents" in spec.outputs
-    sol = _solve(x, pinned, rho44, spec.control if want_alpha else None)
-    secular = _secular_reports(x)
-    share = (time.perf_counter() - t0) / len(values)
-
-    solved = ~np.isnan(sol.populations[:, 0])
-    currents, residual, alpha = sol.currents.tolist(), sol.residual.tolist(), sol.alpha.tolist()
-    records = []
-    for n, (value, ok, pin, error) in enumerate(
-            zip(values.tolist(), solved.tolist(), pinned.tolist(), sol.errors)):
-        records.append(RunRecord(
-            axis_value=value,
-            row=x[n],
-            rho44_init=float(rho44[n]) if pin else None,
-            populations=sol.populations[n] if ok else None,
-            currents=(HeatCurrentTriple(*currents[n], steady_residual=residual[n])
-                      if ok and want_currents else None),
-            amplification=(AmplificationResult(*alpha[n], spec.control)
-                           if want_alpha and error is None else None),
-            secular=secular[n],
-            wall_time=share,
-            error=None if error is None else f"{type(error).__name__}: {error}",
-        ))
-    return records
+    sol = _solve(x, pinned, rho44, spec.control if "alpha" in spec.outputs else None)
+    passed = ~secular_checks(x)[2].any(axis=1)
+    return SweepResult(values, x, pinned, rho44, sol, passed, spec.outputs)
 
 
-def _sweep_format(currents: bool, alpha: bool, populations: bool) -> str:
-    """Row format of a sweep record: the numbers it has, blanks for the rest, flag, error."""
+def error_text(error: Exception) -> str:
+    """A point's domain error as a sweep reports it."""
+    return f"{type(error).__name__}: {error}"
+
+
+def _sweep_format(currents: bool, alpha: bool, populations: bool) -> tuple[str, Callable]:
+    """Row format of a sweep point, blanks for the numbers it lacks, and the picker of its cells.
+
+    The picker takes the point's 16 cells: axis value, Q_L, Q_M, Q_R,
+    alpha_L, alpha_R, the 8 populations, secular flag and error.
+    """
     groups = ((True, 1), (currents, 3), (alpha, 2), (populations, 8))
-    return ",".join([CELL_FORMAT if on else "" for on, size in groups for _ in range(size)]
-                    + ["%s", "%s"])
+    present = [on for on, size in groups for _ in range(size)]
+    row = ",".join([CELL_FORMAT if on else "" for on in present] + ["%s", "%s"])
+    cells = [k for k, on in enumerate(present) if on] + [len(present), len(present) + 1]
+    return row, operator.itemgetter(*cells)
 
 
-# keyed on which of currents, alpha and populations a record has
+# keyed on which of currents, alpha and populations a point has
 _SWEEP_FORMATS = {has: _sweep_format(*has) for has in itertools.product((False, True), repeat=3)}
 
 
-def sweep_rows(records: list[RunRecord]) -> list[str]:
+def sweep_rows(result: SweepResult) -> list[str]:
+    sol = result.solution
+    numbers = np.column_stack([result.values, sol.currents, sol.alpha, sol.populations])
+    solved = ~np.isnan(sol.populations[:, 0])
+    want_currents, want_alpha = "currents" in result.outputs, "alpha" in result.outputs
     rows = []
-    for rec in records:
-        q, a, p = rec.currents, rec.amplification, rec.populations
-        numbers = [rec.axis_value]
-        if q is not None:
-            numbers += (q.Q_L, q.Q_M, q.Q_R)
-        if a is not None:
-            numbers += (a.alpha_L, a.alpha_R)
-        if p is not None:
-            numbers += p.tolist()
-        flag = "PASS" if rec.secular is not None and rec.secular.passed else "WARN"
-        error = "" if rec.error is None else rec.error.replace(",", ";")
-        rows.append(_SWEEP_FORMATS[q is not None, a is not None, p is not None]
-                    % (*numbers, flag, error))
+    for cells, ok, error, passed in zip(numbers.tolist(), solved.tolist(), sol.errors,
+                                        result.secular.tolist()):
+        row, pick = _SWEEP_FORMATS[ok and want_currents, want_alpha and error is None, ok]
+        cells += ("PASS" if passed else "WARN",
+                  "" if error is None else error_text(error).replace(",", ";"))
+        rows.append(row % pick(cells))
     return rows
 
 
-def write_sweep_csv(records: list[RunRecord], path: str | None) -> None:
-    write_lines([CSV_HEADER, *sweep_rows(records)], path)
+def write_sweep_csv(result: SweepResult, path: str | None) -> None:
+    write_lines([CSV_HEADER, *sweep_rows(result)], path)
 
 
 @dataclass(frozen=True)
@@ -432,15 +396,20 @@ def parse_config(text: str) -> dict[str, str]:
     return out
 
 
-def _get_float(cfg: dict[str, str], key: str, default: float | None = None) -> float:
+def _required(cfg: dict[str, str], key: str) -> str:
     if key not in cfg:
-        if default is None:
-            raise ConfigError(f"missing required key {key!r}")
+        raise ConfigError(f"missing required key {key!r}")
+    return cfg[key]
+
+
+def _get_float(cfg: dict[str, str], key: str, default: float | None = None) -> float:
+    if key not in cfg and default is not None:
         return default
+    text = _required(cfg, key)
     try:
-        return float(cfg[key])
+        return float(text)
     except ValueError:
-        raise ConfigError(f"key {key!r} is not a number: {cfg[key]!r}") from None
+        raise ConfigError(f"key {key!r} is not a number: {text!r}") from None
 
 
 def _get_int(cfg: dict[str, str], key: str, default: int | None = None) -> int:
@@ -479,7 +448,7 @@ def sweep_from_config(cfg: dict[str, str]) -> SweepSpec:
     rho44 = _get_float(cfg, "rho44_init") if "rho44_init" in cfg else None
     return SweepSpec(
         base=base,
-        axis=cfg.get("axis", ""),
+        axis=_required(cfg, "axis"),
         lo=_get_float(cfg, "lo"),
         hi=_get_float(cfg, "hi"),
         points=_get_int(cfg, "points"),
@@ -504,8 +473,12 @@ def load_config(name_or_path: str) -> dict[str, str]:
     from .presets import PRESETS
 
     if os.path.exists(name_or_path):
-        with open(name_or_path) as fh:
-            return parse_config(fh.read())
+        try:
+            with open(name_or_path, encoding="utf-8") as fh:
+                text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"config file {name_or_path!r} is not UTF-8: {exc}") from None
+        return parse_config(text)
     if name_or_path in PRESETS:
         return parse_config(PRESETS[name_or_path])
     raise ConfigError(

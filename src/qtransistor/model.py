@@ -16,7 +16,7 @@ units of omega_0):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import astuple, dataclass, fields, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -270,28 +270,36 @@ class SecularReport:
 SECULAR_RATIO_THRESHOLD = 50.0
 
 
+def secular_checks(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The regime checks of validate_secular on the (N, 12) input rows x.
+
+    Returns per row 2g/max(gamma), min(omega_nu) and the (N, 2) warnings:
+    the ratio below SECULAR_RATIO_THRESHOLD, and g > 0 with
+    min(omega_nu) <= g.  A row passes where neither is set.
+    """
+    g = x[:, 2]
+    ratio = 2.0 * g / x[:, 6:9].max(axis=1)  # columns gamma_L, gamma_M, gamma_R
+    # omega_L, omega_M > 0, so omega_R = omega_L + omega_M is never the smallest
+    min_omega = x[:, :2].min(axis=1)
+    warnings = np.column_stack([ratio < SECULAR_RATIO_THRESHOLD,
+                                (g > 0.0) & (min_omega <= g)])
+    return ratio, min_omega, warnings
+
+
 def validate_secular(params: SystemParams) -> SecularReport:
     """Report how comfortably the secular / weak-damping regime holds."""
-    max_gamma = max(params.gamma_L, params.gamma_M, params.gamma_R)
-    min_omega = min(params.omega_L, params.omega_M, params.omega_R)
-    ratio = 2.0 * params.g / max_gamma
-    omega_over_g = math.inf if params.g == 0 else min_omega / params.g
-    gap = min_distinct_bohr_gap(analytic_eigenvalues(params))
-
-    warns = []
-    if ratio < SECULAR_RATIO_THRESHOLD:
-        warns.append(
-            f"2g/max(gamma) = {ratio:.3g} below {SECULAR_RATIO_THRESHOLD:g}; "
-            "channel frequencies are not well separated from the decay rates"
-        )
-    if params.g > 0 and min_omega <= params.g:
-        warns.append(
-            f"min(omega_nu)/g = {omega_over_g:.3g} <= 1; "
-            "qubit splittings do not dominate the internal coupling"
-        )
+    ratio, min_omega, warnings = secular_checks(np.array([astuple(params)], dtype=float))
+    ratio = float(ratio[0])
+    omega_over_g = math.inf if params.g == 0 else float(min_omega[0]) / params.g
+    messages = (
+        f"2g/max(gamma) = {ratio:.3g} below {SECULAR_RATIO_THRESHOLD:g}; "
+        "channel frequencies are not well separated from the decay rates",
+        f"min(omega_nu)/g = {omega_over_g:.3g} <= 1; "
+        "qubit splittings do not dominate the internal coupling",
+    )
     return SecularReport(
         ratio_2g_max_gamma=ratio,
         min_omega_over_g=omega_over_g,
-        min_bohr_gap=gap,
-        warnings=tuple(warns),
+        min_bohr_gap=min_distinct_bohr_gap(analytic_eigenvalues(params)),
+        warnings=tuple(m for m, warn in zip(messages, warnings[0].tolist()) if warn),
     )

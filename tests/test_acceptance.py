@@ -135,12 +135,11 @@ def test_criterion_04_fig2_reproduction():
     t0 = time.perf_counter()
     try:
         spec = sweep_from_config(load_config("fig2"))
-        records = run_sweep(spec)
-        assert len(records) == 100
-        for rec in records:
-            assert rec.error is None
-            assert 20.0 <= abs(rec.amplification.alpha_L) <= 45.0
-            assert 20.0 <= abs(rec.amplification.alpha_R) <= 45.0
+        sol = run_sweep(spec).solution
+        assert len(sol.errors) == 100
+        assert all(error is None for error in sol.errors)
+        alpha = np.abs(sol.alpha)  # columns alpha_L, alpha_R
+        assert np.all((20.0 <= alpha) & (alpha <= 45.0))
         elapsed = time.perf_counter() - t0
         assert elapsed < 30.0, f"runtime {elapsed:.1f}s exceeds 30s"
         ok = True

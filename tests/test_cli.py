@@ -44,6 +44,14 @@ def test_bad_config_exit_code(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_non_utf8_config_exit_code(tmp_path, capsys):
+    cfg = tmp_path / "latin.cfg"
+    cfg.write_bytes(b"\xff\xfe")
+    assert main(["sweep", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config file {str(cfg)!r} is not UTF-8")
+
+
 def test_invalid_range_exit_code(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("omega_L = 30\nomega_M = 1\ng = 0.1\nT_L = 5\nT_M = 1\n"

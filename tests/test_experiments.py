@@ -11,6 +11,7 @@ from qtransistor import (
     DriveSpec,
     ParameterError,
     SweepSpec,
+    SystemParams,
     optimize_lambda,
     run_modulation,
     run_populations,
@@ -21,12 +22,14 @@ from qtransistor import (
 from qtransistor.dynamics import solve
 from qtransistor.experiments import (
     CSV_HEADER,
+    error_text,
     load_config,
     params_from_config,
     parse_config,
     sweep_from_config,
     sweep_rows,
 )
+from qtransistor.model import FIELD_NAMES
 from qtransistor.presets import PRESETS
 
 
@@ -65,6 +68,10 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="T_R"):
             params_from_config(parse_config(
                 "omega_L=30\nomega_M=1\ng=0.1\nT_L=5\nT_M=1\ngamma=0.002"))
+        cfg = load_config("fig9a")
+        del cfg["axis"]
+        with pytest.raises(ConfigError, match="^missing required key 'axis'$"):
+            sweep_from_config(cfg)
 
     def test_lambdas_default_and_decay_rates_need_gamma(self):
         base = "omega_L=30\nomega_M=1\ng=0.1\nT_L=5\nT_M=1\nT_R=0.5\n"
@@ -139,24 +146,23 @@ class TestSweepSpec:
 class TestRunSweep:
     def test_record_fields_and_conservation(self, fig2_params):
         spec = SweepSpec(base=fig2_params, axis="T_M", lo=0.5, hi=2.5, points=5)
-        records = run_sweep(spec)
-        assert [r.axis_value for r in records] == pytest.approx(
-            list(np.linspace(0.5, 2.5, 5)))
-        for rec in records:
-            assert rec.error is None
-            assert rec.params.T_M == rec.axis_value
-            assert abs(rec.currents.total) < 1e-10 * abs(rec.currents.Q_L)
-            assert abs(rec.populations.sum() - 1.0) < 1e-12
-            assert rec.amplification.alpha_L + rec.amplification.alpha_R == \
-                pytest.approx(-1.0, abs=1e-6)
-            assert rec.secular.passed
+        result = run_sweep(spec)
+        sol = result.solution
+        assert list(result.values) == pytest.approx(list(np.linspace(0.5, 2.5, 5)))
+        assert all(error is None for error in sol.errors)
+        assert list(result.x[:, FIELD_NAMES.index("T_M")]) == list(result.values)
+        for q, p, (alpha_L, alpha_R) in zip(sol.currents, sol.populations, sol.alpha):
+            assert abs(q.sum()) < 1e-10 * abs(q[0])
+            assert abs(p.sum() - 1.0) < 1e-12
+            assert alpha_L + alpha_R == pytest.approx(-1.0, abs=1e-6)
+        assert result.secular.all()
 
     def test_dark_sweep_without_rho44_records_errors(self, dark_params):
         spec = SweepSpec(base=dark_params, axis="T_M", lo=0.5, hi=1.5, points=3,
                          outputs=("currents",))
-        records = run_sweep(spec)
-        assert all(r.error is not None for r in records)
-        assert all("rho44" in r.error for r in records)
+        errors = run_sweep(spec).solution.errors
+        assert all(error is not None for error in errors)
+        assert all("rho44" in error_text(error) for error in errors)
 
     def test_programming_errors_propagate(self, fig2_params, monkeypatch):
         # only domain errors become error rows; a bug must fail the run
@@ -193,32 +199,30 @@ class TestRunSweep:
         spec = SweepSpec(base=fig2_params, axis="T_M", lo=0.001, hi=3.001, points=4)
         rest = SweepSpec(base=fig2_params, axis="T_M", lo=1.001, hi=3.001, points=3)
         assert list(spec.values()[1:]) == list(rest.values())
-        records = run_sweep(spec)
-        assert records[0].error.startswith("DegenerateControlError: ")
-        assert records[0].amplification is None
-        assert records[0].populations is not None and records[0].currents is not None
-        assert all(rec.error is None for rec in records[1:])
-        assert sweep_rows(records)[1:] == sweep_rows(run_sweep(rest))
-
-    def test_wall_time_is_the_share_of_the_batch(self, fig2_params):
-        spec = SweepSpec(base=fig2_params, axis="T_M", lo=0.5, hi=1.5, points=3)
-        times = {rec.wall_time for rec in run_sweep(spec)}
-        assert len(times) == 1 and times.pop() > 0.0
+        result = run_sweep(spec)
+        sol, rows = result.solution, sweep_rows(result)
+        assert error_text(sol.errors[0]).startswith("DegenerateControlError: ")
+        # the point's alpha is left out; its currents and populations are kept
+        cells = rows[0].split(",")
+        assert np.isnan(sol.alpha[0]).all() and cells[4:6] == ["", ""]
+        assert np.isfinite(sol.currents[0]).all() and np.isfinite(sol.populations[0]).all()
+        assert "" not in cells[1:4] + cells[6:14]
+        assert all(error is None for error in sol.errors[1:])
+        assert rows[1:] == sweep_rows(run_sweep(rest))
 
     @pytest.mark.parametrize("preset", ["fig5b", "fig9a", "fig7a"])
     def test_emitted_rows_conserve_energy(self, preset):
         # every emitted row must satisfy the current-conservation invariant
         spec = dataclasses.replace(sweep_from_config(load_config(preset)), points=5)
-        for rec in run_sweep(spec):
-            assert rec.error is None
-            q = rec.currents
-            assert abs(q.total) < 1e-10 * max(abs(q.Q_L), abs(q.Q_M), abs(q.Q_R))
+        sol = run_sweep(spec).solution
+        assert all(error is None for error in sol.errors)
+        for q in sol.currents:
+            assert abs(q.sum()) < 1e-10 * np.max(np.abs(q))
 
     def test_fig9a_bias_trend(self):
         # independent-reservoir case: amplification grows with the decay bias
         spec = sweep_from_config(load_config("fig9a"))
-        records = run_sweep(spec)  # bias grid {1, 2, ..., 6}
-        alphas = [r.amplification.alpha_L for r in records]
+        alphas = run_sweep(spec).solution.alpha[:, 0]  # alpha_L on the bias grid {1, 2, ..., 6}
         assert alphas[0] < alphas[2] < alphas[5]  # bias 1, 3, 6
 
 
@@ -288,6 +292,14 @@ def reference_points(spec):
     return params, pins
 
 
+def result_points(result):
+    """Each grid point's params and pin, read from a sweep result's rows and pins."""
+    params = [SystemParams(*row) for row in result.x.tolist()]
+    pins = [rho44 if pinned else None
+            for pinned, rho44 in zip(result.pinned.tolist(), result.rho44.tolist())]
+    return params, pins
+
+
 def reference_rows(spec):
     """The sweep CSV rows of spec, solved from reference_points, formatted cell by cell."""
     params, pins = reference_points(spec)
@@ -318,25 +330,34 @@ class TestGridBuilder:
     @pytest.mark.parametrize("preset", SWEEP_PRESETS)
     def test_preset_rows_equal_the_per_point_route(self, preset):
         spec = sweep_from_config(load_config(preset))
-        records = run_sweep(spec)
-        assert sweep_rows(records) == reference_rows(spec)
-        params, pins = reference_points(spec)
-        assert [rec.params for rec in records] == params
-        assert [rec.rho44_init for rec in records] == pins
+        result = run_sweep(spec)
+        assert sweep_rows(result) == reference_rows(spec)
+        assert result_points(result) == reference_points(spec)
 
-    @pytest.mark.parametrize("base, axis, lo, hi, rho44", [
-        ("dark_params", "lambda3", 0.5, 1.0, 0.4),  # lit points, then a dark-pinned one
-        ("dark_params", "T_M", 0.5, 1.5, None),     # dark points without a pin: error rows
-        ("fig2_params", "T_M", 0.001, 3.001, None),  # alpha undefined at the coldest point
+    @pytest.mark.parametrize("base, changes, axis, lo, hi, rho44, fails, flags", [
+        # lit points, then a dark-pinned one
+        ("dark_params", {}, "lambda3", 0.5, 1.0, 0.4, False, {"PASS"}),
+        # dark points without a pin: error rows
+        ("dark_params", {}, "T_M", 0.5, 1.5, None, True, {"PASS"}),
+        # alpha undefined at the coldest point
+        ("fig2_params", {}, "T_M", 0.001, 3.001, None, True, {"PASS"}),
+        # 2g/max(gamma) from 0 (at g = 0) across the threshold 50
+        ("fig2_params", {}, "g", 0.0, 0.2, None, False, {"WARN", "PASS"}),
+        # 2g/max(gamma) = 100 / bias falls through 50, and meets it at bias 2
+        ("fig2_params", {}, "gamma_bias", 1.0, 3.5, None, False, {"PASS", "WARN"}),
+        # min(omega_nu) = omega_M = g
+        ("fig2_params", {"omega_M": 0.1}, "T_M", 0.5, 1.5, None, False, {"WARN"}),
     ])
     def test_mixed_and_failing_grids_equal_the_per_point_route(
-            self, request, base, axis, lo, hi, rho44):
-        spec = SweepSpec(base=request.getfixturevalue(base), axis=axis, lo=lo, hi=hi,
-                         points=6, rho44_init=rho44)
-        records = run_sweep(spec)
-        assert sweep_rows(records) == reference_rows(spec)
-        assert [rec.params for rec in records] == reference_points(spec)[0]
-        assert any(rec.error is not None for rec in records) == (rho44 is None)
+            self, request, base, changes, axis, lo, hi, rho44, fails, flags):
+        spec = SweepSpec(base=request.getfixturevalue(base).replace(**changes), axis=axis,
+                         lo=lo, hi=hi, points=6, rho44_init=rho44)
+        result = run_sweep(spec)
+        rows = sweep_rows(result)
+        assert rows == reference_rows(spec)
+        assert {row.split(",")[-2] for row in rows} == flags
+        assert result_points(result)[0] == reference_points(spec)[0]
+        assert any(error is not None for error in result.solution.errors) == fails
 
     def test_lambda_scan_equals_the_per_point_route(self, fig2_params):
         base = fig2_params.replace(lambda3=1.0)

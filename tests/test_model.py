@@ -21,6 +21,7 @@ from qtransistor.model import (
     basis_index,
     check_rows,
     min_distinct_bohr_gap,
+    secular_checks,
 )
 
 from conftest import random_params
@@ -243,6 +244,30 @@ class TestValidateSecular:
             assert analytic_eigenvalues(params).tobytes() == old.tobytes()
             assert analytic_eigensystem(params).eigenvalues.tobytes() == old.tobytes()
             assert validate_secular(params).min_bohr_gap == min_distinct_bohr_gap(old)
+
+    def test_column_flag_equals_the_report_at_the_boundaries(self, fig2_params):
+        # gamma a power of two makes 2g/max(gamma) = 50 exact at g = 25 gamma
+        gamma = 2.0 ** -9
+        base = fig2_params.replace(gamma_L=gamma, gamma_M=gamma, gamma_R=gamma)
+
+        def around(v):
+            return (v, float(np.nextafter(v, -np.inf)), float(np.nextafter(v, np.inf)))
+
+        g50, g1 = 25 * gamma, 0.75
+        points = [base.replace(g=g) for g in around(g50)]
+        points += [base.replace(g=g50, gamma_R=v) for v in around(gamma)]
+        points += [base.replace(g=g1, omega_M=v) for v in around(g1)]
+        points += [base.replace(g=v, omega_M=g1) for v in around(g1)]
+        points += [base.replace(g=g) for g in (0.0, float(np.nextafter(0.0, 1.0)))]
+        passed = ~secular_checks(np.array([dataclasses.astuple(p) for p in points]))[2].any(axis=1)
+
+        def rule(p):
+            ratio = 2.0 * p.g / max(p.gamma_L, p.gamma_M, p.gamma_R)
+            return not (ratio < 50.0 or (p.g > 0 and min(p.omega_L, p.omega_M, p.omega_R) <= p.g))
+
+        assert passed.tolist() == [validate_secular(p).passed for p in points]
+        assert passed.tolist() == [rule(p) for p in points]
+        assert passed.any() and not passed.all()
 
 
 def test_random_regime_eigensystems():
