@@ -2,26 +2,21 @@
 
 In the energy eigenbasis the populations close on themselves: they obey a
 classical rate equation p' = W p.  One batched kernel, `_solve`, computes
-every per-point number of the package.  It takes the (N, 12) input rows of
-N operating points (the SystemParams fields in order, as sweep grids are
-built column-wise) and dark-state pins as arrays; `solve` is its adapter
-for a list of SystemParams.  It builds the transition table as (N, 24)
-arrays (a row per channel amplitude, in the order of channels.TRANSITIONS),
-assembles W as (N, 8, 8), finds every steady state, dark-pinned ones
-included, by one GTH state reduction, takes the heat currents and the
-residual max|W p| from the same rows, and gets the amplification factors
-from one batched linear-response solve; nothing in it loops over points
-or channels.  rate_matrix, steady_state and (in
-observables) heat_currents and amplification_factor are its N = 1 calls.
-Its eigenvalues, mixing angles and Bose occupations are the numpy ufunc
-closed forms model.closed_forms and _nbar, which the scalar helpers
-(analytic_eigensystem, mixing_angle, bose_occupation) call on one row, so
-a table built for one point equals the scalar route's numbers bit for bit.
-The last single-point table built is kept, keyed on the exact bytes of its
-input, so the second of two calls on the same point (steady_state then
-heat_currents, rate_matrix then steady_state) reuses it; the table is a
-pure function of those bytes, so reuse changes no result.  Coherences
-decay independently, so the steady state is diagonal; a full
+every per-point number of the package from the (N, 12) input rows of N
+operating points (the SystemParams fields in order) and dark-state pins;
+`solve` is its adapter for a list of SystemParams.  It builds the
+transition table as (N, 24) arrays (a row per channel amplitude, in the
+order of channels.TRANSITIONS) and W's off-diagonal rates as (N, 8, 8).
+One GTH state reduction gives every steady state, dark-pinned ones
+included, and its factors also give the steady-state derivatives behind
+the amplification factors; currents and the residual max|W p| come from
+the table's rows.  Nothing in it loops over points or channels.
+rate_matrix, steady_state and (in observables) heat_currents and
+amplification_factor are its N = 1 calls.  The table's eigenvalues,
+mixing angles and Bose occupations are the numpy ufunc closed forms that
+the scalar helpers (analytic_eigensystem, mixing_angle, bose_occupation)
+call on one row, so one point's table equals their numbers bit for bit.
+Coherences decay independently, so the steady state is diagonal; a full
 density-matrix propagator is kept as an oracle for that claim.
 """
 
@@ -106,7 +101,6 @@ _FIELDS = operator.attrgetter(*FIELD_NAMES)
 # i -> j at W[j, i]; the 24 pairs are distinct, so each entry is set once
 _DOWN = ROW_I * 8 + ROW_J
 _UP = ROW_J * 8 + ROW_I
-_DIAGONAL = np.arange(8) * 9
 # (24, 8) incidence of the rows: row r takes its flow out of state ROW_I[r]
 # (-1) into state ROW_J[r] (+1)
 _INCIDENCE = np.eye(8)[ROW_J] - np.eye(8)[ROW_I]
@@ -205,12 +199,11 @@ def _point_table(params: SystemParams) -> _Table:
     return t
 
 
-def _generator(down: np.ndarray, up: np.ndarray) -> np.ndarray:
-    """(N, 8, 8) generators with transfer j -> i at down and i -> j at up; columns sum to 0."""
+def _rates(down: np.ndarray, up: np.ndarray) -> np.ndarray:
+    """(N, 8, 8) off-diagonal generator rates: transfer j -> i at down, i -> j at up."""
     W = np.zeros((len(down), 64))
     W[:, _DOWN] = down
     W[:, _UP] = up
-    W[:, _DIAGONAL] -= W.reshape(-1, 8, 8).sum(axis=1)
     return W.reshape(-1, 8, 8)
 
 
@@ -248,7 +241,9 @@ def rate_matrix(params: SystemParams) -> np.ndarray:
     identically and the dark state decouples.
     """
     t = _point_table(params)
-    return _generator(t.down, t.up)[0]
+    W = _rates(t.down, t.up)[0]
+    W.flat[::9] -= W.sum(axis=0)  # the diagonal
+    return W
 
 
 def _gth(A: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
@@ -256,51 +251,63 @@ def _gth(A: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
 
     Grassmann-Taksar-Heyman state reduction: states are censored from the
     top down, their flows folded into the rates among the states below, and
-    the populations follow by back substitution.  Only non-negative numbers
-    are added, multiplied and divided, so no component can come out negative
-    and each has a small relative error (O'Cinneide 1993).  A is reduced in
-    place.  Also returns, per point, the highest state with no outflow to
-    the states below it, or -1; such a point's populations are meaningless.
-    That second result is None when no point has such a state.
+    the populations follow by back substitution from p_0 = 1.  Only
+    non-negative numbers are added, multiplied and divided, so no component
+    can come out negative and each has a small relative error (O'Cinneide
+    1993).  A's own diagonal is ignored; A is reduced in place to the factors
+    `_derivative` reuses.  Below the diagonal, row k ends as the rates into
+    state k once the states above it are censored; A[k, k] as its outflow
+    out_k to the states below; above the diagonal, column k as the
+    fractions (non-negative, summing to 1) in which out_k returns to them.
+    Also returns per point the highest state without outflow to those below
+    it, or -1 (None if no point has one): that point's p is meaningless.
     """
     n_points, n = A.shape[:2]
-    out, p = np.ones((2, n_points, n, 1))
+    p = np.ones((n_points, n, 1))
     with np.errstate(divide="ignore", invalid="ignore"):
         for k in range(n - 1, 0, -1):
-            column = A[:, :k, k:k + 1]
-            np.add.reduce(column, axis=1, keepdims=True, out=out[:, k:k + 1])
-            if k > 1:  # below state 1 only the unread diagonal A[0, 0] is left
+            column, out = A[:, :k, k:k + 1], A[:, k:k + 1, k:k + 1]
+            np.add.reduce(column, axis=1, keepdims=True, out=out)
+            np.divide(column, out, out=column)
+            if k > 1:  # below state 1 only the unread A[0, 0] is left
                 block = A[:, :k, :k]
-                np.add(block, column / out[:, k:k + 1] * A[:, k:k + 1, :k], out=block)
-        for k in range(1, n):
-            np.divide(np.matmul(A[:, k:k + 1, :k], p[:, :k]), out[:, k:k + 1],
-                      out=p[:, k:k + 1])
+                np.add(block, column * A[:, k:k + 1, :k], out=block)
+        _back_substitute(A, p)
+    dead = np.diagonal(A, axis1=1, axis2=2)[:, 1:] == 0.0
     stuck = None
-    if not out.all():
-        dead = out[:, :, 0] == 0.0
+    if dead.any():
         stuck = np.where(dead.any(axis=1), n - 1 - np.argmax(dead[:, ::-1], axis=1), -1)
     p = p[:, :, 0]
     return p / p.sum(axis=1, keepdims=True), stuck
 
 
-def _steady_derivative(W: np.ndarray, dWp: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """First-order change p' of steady states p when W changes by dW.
+def _back_substitute(A: np.ndarray, x: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
+    """x_k = (A[k, :k] x[:k] - b_k) / A[k, k], k = 1 .. n-1, in place; no b is b = 0."""
+    for k in range(1, A.shape[1]):
+        s = np.matmul(A[:, k:k + 1, :k], x[:, :k])
+        if b is not None:
+            s -= b[:, k:k + 1]
+        np.divide(s, A[:, k:k + 1, k:k + 1], out=x[:, k:k + 1])
+    return x
 
-    Solves W p' = -dW p with sum(p') = 0 for each point of the batch
-    (dWp = dW p).  One balance row is redundant (the columns of W sum to
-    zero) and gives way to the normalisation: the row of the most populated
-    state, so that every small population keeps its own balance equation.
-    A drained dark state (see `_steady`) has the row -p'_3 = 0; should it
-    be the row replaced, the seven others still force p'_3 = 0, as they
-    sum to p'_3 by the zero column sums.
+
+def _derivative(A: np.ndarray, p: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solutions p' of W p' = b with sum(p') = 0 from `_gth`'s factors A and p of W.
+
+    b (M, 8) must sum to zero, as -dW p does.  The censoring that reduced W
+    is applied to b: for k = 7 .. 2, b_k goes to the states below in the
+    fractions of column k.  These are non-negative and sum to 1, so ||b||_1
+    cannot grow; as b has mixed signs, GTH's subtraction-free argument does
+    not carry over, but each step adds at most a rounding error of that
+    norm.  Back substitution from x_0 = 0 (b_0 is left unread) gives a
+    solution x, and p' = x - sum(x) p.  A drained dark state (see
+    `_steady`) has b_3 = 0 and no rate into it, so its p'_3 is exactly 0.
     """
-    A = W.copy()
-    b = -dWp
-    r = np.argmax(p, axis=1)
-    points = np.arange(len(p))
-    A[points, r] = 1.0
-    b[points, r] = 0.0
-    return np.linalg.solve(A, b[:, :, None])[:, :, 0]
+    b = b[:, :, None]
+    for k in range(A.shape[1] - 1, 1, -1):
+        b[:, :k] += A[:, :k, k:k + 1] * b[:, k:k + 1]
+    x = _back_substitute(A, np.zeros_like(b), b)[:, :, 0]
+    return x - x.sum(axis=1, keepdims=True) * p
 
 
 class _Failures:
@@ -326,22 +333,22 @@ def _raise_first(errors: Sequence[Exception | None]) -> None:
 
 
 class _Steady(NamedTuple):
-    """The first stage of `solve`: tables, generators (dark states drained) and steady states."""
+    """The first stage of `solve`: tables, steady states and `_gth`'s results."""
 
     table: _Table
-    W: np.ndarray
     populations: np.ndarray
     failures: _Failures
+    solved: np.ndarray      # (M,) the points `_gth` solved, which did not fail
+    factors: np.ndarray     # (M, 8, 8) `_gth`'s factors of their generators
+    stationary: np.ndarray  # (M, 8) `_gth`'s stationary vectors, before any dark pin
 
 
 def _steady(x: np.ndarray, pinned: np.ndarray, rho44: np.ndarray) -> _Steady:
     """Steady states of the N input rows x by one GTH pass over their generators.
 
     pinned[n] says whether point n has a dark-state pin, rho44[n] its value
-    (0 where it has none).  A dark state (fully common coupling) has no
-    rates; drained 3 -> 0 at unit rate it holds no population and leaves
-    the other seven balances as they are, which are then scaled to
-    1 - rho44, with rho44 at state 3.
+    (0 where it has none).  A dark state, which has no rates, is drained
+    3 -> 0 at unit rate, as steady_state describes.
     """
     n_points = len(x)
     failures = _Failures(n_points)
@@ -356,22 +363,24 @@ def _steady(x: np.ndarray, pinned: np.ndarray, rho44: np.ndarray) -> _Steady:
                         "rho44_init must lie in [0, 1]")
     t, undefined = _table(x)
     failures.record(undefined, ParameterError, _NBAR_UNDEFINED)
-    W = _generator(t.down, t.up)
+    W = _rates(t.down, t.up)
     W[dark, 0, DARK_STATE] = 1.0
-    W[dark, DARK_STATE, DARK_STATE] = -1.0
 
     p = np.full((n_points, 8), np.nan)
     points = np.flatnonzero(failures.ok)
-    q, stuck = _gth(W[points])
+    A = W[points]
+    q, stuck = _gth(A)
     if stuck is not None:
-        for n, k in zip(points[stuck >= 0], stuck[stuck >= 0]):
-            failures.record(np.arange(n_points) == n, SteadyStateError,
-                            f"state {k} has no outflow to the states below it")
-        points, q = points[stuck < 0], q[stuck < 0]
+        keep = stuck < 0
+        for n, k in zip(points[~keep], stuck[~keep]):
+            failures.errors[n] = SteadyStateError(f"state {k} has no outflow to the states "
+                                                  "below it")
+        failures.ok[points[~keep]] = False
+        points, A, q = points[keep], A[keep], q[keep]
     # rho44 is 0 where no pin is set, so this leaves lit points as they are
     p[points] = q * (1.0 - rho44[points, None])
     p[points, DARK_STATE] += rho44[points]
-    return _Steady(t, W, p, failures)
+    return _Steady(t, p, failures, points, A, q)
 
 
 class Solution(NamedTuple):
@@ -404,13 +413,13 @@ def solve(
     pins).  With a control terminal, alpha_{L,R} = (dQ_{L,R}/dT) /
     (dQ_M/dT) for T = T_control by linear response: dnbar/dT =
     nbar (nbar + 1) w / T^2 on that reservoir's rows gives dW/dT, and the
-    steady-state derivative p' solves W p' = -(dW/dT) p with sum(p') = 0.
-    Dark-pinned points share both solves: their drained dark state (see
-    `_steady`) gets p'_3 = 0.  Each dQ_nu/dT sums the row heats of p' and
-    of dW/dT.  As dQ_L + dQ_M + dQ_R = 0, one whose terms outweigh those of
-    the other two together in absolute sum is taken as minus their sum:
-    the route with the least cancellation, so a cold point's dQ_M is not
-    left as the tiny difference of large row heats.
+    steady-state derivative p' solves W p' = -(dW/dT) p with sum(p') = 0
+    on the factors of the GTH reduction that gave p (`_derivative`); a
+    drained dark state (see `_steady`) gets p'_3 = 0.  Each dQ_nu/dT sums
+    the row heats of p' and of dW/dT.  As dQ_L + dQ_M + dQ_R = 0, one whose
+    terms outweigh those of the other two together in absolute sum is taken
+    as minus their sum: the route with the least cancellation, so a cold
+    point's dQ_M is not left as the tiny difference of large row heats.
 
     A point that fails records its typed error, in the order the checks
     run: UnderdeterminedError or OverdeterminedError for a missing or
@@ -418,9 +427,6 @@ def solve(
     undefined nbar, SteadyStateError for a state without outflow,
     DegenerateControlError where dQ_M/dT == 0.  The other points are solved
     as if it were absent.  Only an unknown control terminal raises.
-
-    The kernel is `_solve`, which takes the (N, 12) input rows; this is its
-    adapter for a list of SystemParams.
     """
     if rho44_init is None:
         rho44_init = [None] * len(params)
@@ -442,7 +448,7 @@ def _solve(
     """
     if control is not None and control not in RESERVOIRS:
         raise ParameterError("control terminal must be one of 'L', 'M', 'R'")
-    t, W, p, failures = _steady(x, pinned, rho44)
+    t, p, failures, solved, factors, stationary = _steady(x, pinned, rho44)
     flow = _flow(t.down, t.up, p)
     currents = _currents(t, flow)
     residual = np.max(np.abs(_rate_of_change(flow)), axis=1)
@@ -452,9 +458,8 @@ def _solve(
         on = ROW_RESERVOIR == RESERVOIRS.index(control)
         d_rate = np.where(on, t.rate * t.nbar * (t.nbar + 1.0) * t.omega / (t.T * t.T), 0.0)
         d_flow = _flow(d_rate, d_rate, p)
-        points = np.flatnonzero(failures.ok)
         dp = np.zeros_like(p)
-        dp[points] = _steady_derivative(W[points], _rate_of_change(d_flow)[points], p[points])
+        dp[solved] = _derivative(factors, stationary, -_rate_of_change(d_flow)[solved])
         heat = np.concatenate([_row_heat(t, _flow(t.down, t.up, dp)), _row_heat(t, d_flow)],
                               axis=2)
         dQ, size = heat.sum(axis=2), np.abs(heat).sum(axis=2)

@@ -474,7 +474,8 @@ def load_config(name_or_path: str) -> dict[str, str]:
 
     if os.path.exists(name_or_path):
         try:
-            with open(name_or_path, encoding="utf-8") as fh:
+            # utf-8-sig also reads a file that starts with a byte-order mark
+            with open(name_or_path, encoding="utf-8-sig") as fh:
                 text = fh.read()
         except UnicodeDecodeError as exc:
             raise ConfigError(f"config file {name_or_path!r} is not UTF-8: {exc}") from None

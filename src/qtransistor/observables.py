@@ -115,12 +115,10 @@ def amplification_factor(
 ) -> AmplificationResult:
     """Amplification factors for one control terminal by linear response.
 
-    With T = T_control, dnbar/dT = nbar (nbar + 1) w / T^2 on that
-    reservoir's transitions gives dW/dT, the steady-state derivative p'
-    solves W p' = -(dW/dT) p with sum(p') = 0, and
-    alpha_{L,R} = (dQ_{L,R}/dT) / (dQ_M/dT).  rho44_init pins the dark-state
-    population when the fully common coupling makes the steady state
-    non-unique.
+    alpha_{L,R} = (dQ_{L,R}/dT) / (dQ_M/dT) with T = T_control, the
+    steady-state derivative taken on the factors of the GTH reduction that
+    gave the steady state (see dynamics.solve).  rho44_init pins the
+    dark-state population when fully common coupling makes it free.
     """
     alpha_L, alpha_R = _solve_point(params, rho44_init, control).alpha[0]
     return AmplificationResult(float(alpha_L), float(alpha_R), control)
@@ -147,16 +145,12 @@ def closed_form_populations(params: SystemParams, rho44: float) -> np.ndarray:
         raise ParameterError("closed forms require lambda1 = lambda2 = lambda3 = 1")
     if not (0.0 <= rho44 <= 1.0):
         raise ParameterError("rho44 must lie in [0, 1]")
-    W = rate_matrix(params)
-    M = np.empty((5, 5))
-    for r, a in enumerate(_BALANCE_ROWS):
-        for c, b in enumerate(_ACTIVE):
-            M[r, c] = W[a, b]
+    M = np.ones((5, 5))
+    M[:4] = rate_matrix(params)[np.ix_(_BALANCE_ROWS, _ACTIVE)]
     scale = np.max(np.abs(M[:4]))
     if scale == 0:
         raise SingularDenominatorError("all reduced rates vanish")
     M[:4] /= scale
-    M[4, :] = 1.0
 
     D = float(np.linalg.det(M))
     if abs(D) < 1e-14:

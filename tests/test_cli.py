@@ -52,6 +52,20 @@ def test_non_utf8_config_exit_code(tmp_path, capsys):
     assert err.startswith(f"error: config file {str(cfg)!r} is not UTF-8")
 
 
+def test_config_with_byte_order_mark(tmp_path, capsys):
+    # some editors start a UTF-8 file with the byte-order mark EF BB BF; here
+    # it comes right before the first key
+    text = "".join(line for line in PRESETS["fig9a"].splitlines(keepends=True)
+                   if not line.startswith("#"))
+    cfg = tmp_path / "bom.cfg"
+    cfg.write_bytes(b"\xef\xbb\xbf" + text.encode())
+    assert main(["sweep", "--config", str(cfg), "--points", "3"]) == 0
+    lines = capsys.readouterr().out
+    assert main(["sweep", "--config", "fig9a", "--points", "3"]) == 0
+    assert lines == capsys.readouterr().out
+    assert len(lines.splitlines()) == 4
+
+
 def test_invalid_range_exit_code(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("omega_L = 30\nomega_M = 1\ng = 0.1\nT_L = 5\nT_M = 1\n"

@@ -232,12 +232,18 @@ def mp_alpha(params, control, rho44_init=None, digits=50):
 
 
 def assert_alpha_matches_mp(params, rho44_init=None):
-    # The kernel gets p' from an LU solve of the bordered system A p' = b,
-    # whose backward error is about n eps |A| (n = 8 states), so p' carries
-    # a relative error of at most n eps cond(A).  Each dQ/dT sums row terms
-    # that are C = sum|terms| / |dQ/dT| times larger than the sum, which
-    # multiplies that error by C, and alpha_L = dQ_L / dQ_M adds the errors
-    # of numerator and denominator.  This is a first-order worst case; the
+    # The kernel gets p' by eliminating W from the top state down with GTH's
+    # own factors (dynamics._derivative).  W is a column diagonally dominant
+    # M-matrix, so that elimination needs no pivoting, its reduced rates
+    # stay non-negative and do not grow, and the forward sweep cannot grow
+    # the 1-norm of the right-hand side: its backward error is about
+    # n eps |W| (n = 8 states), as a pivoted LU solve's would be.  With A
+    # the system bordered by sum(p') = 0 in the row of the most populated
+    # state, p' then carries a relative error of at most n eps cond(A).
+    # Each dQ/dT sums row terms that are C = sum|terms| / |dQ/dT| times
+    # larger than the sum, which multiplies that error by C, and
+    # alpha_L = dQ_L / dQ_M adds the errors of numerator and denominator.
+    # This is a first-order worst case; the
     # steady state's own few-ulp error is far below it.  The kernel takes
     # dQ_M as -(dQ_L + dQ_R) where that sums fewer row heats in absolute
     # value: its error is then C_L |dQ_L| + C_R |dQ_R|, relative to dQ_M
@@ -264,10 +270,24 @@ class TestAlphaOracle:
         # dQ_L and dQ_R hardly cancel: the direct sum kept ~3 digits of alpha
         assert_alpha_matches_mp(fig2_params.replace(T_L=1.0, T_M=0.05, T_R=0.05))
 
+    @pytest.mark.parametrize("u", [1, 2, 4, 6, 8])
+    def test_near_dark_fig2(self, fig2_params, u):
+        # lambda = 1 - 10^-u: the dark state's rates fall as 10^-2u and cond(A)
+        # grows with 1/rate, so from u = 4 on the bound exceeds 1e-2 and only
+        # catches a gross error; the measured errors stay below 1e-13
+        lam = 1.0 - 10.0 ** -u
+        assert_alpha_matches_mp(fig2_params.replace(lambda1=lam, lambda2=lam, lambda3=lam))
+
+    @pytest.mark.parametrize("u", [2, 5, 8])
+    def test_near_dark_cold_fig2(self, fig2_params, u):
+        lam = 1.0 - 10.0 ** -u
+        assert_alpha_matches_mp(fig2_params.replace(T_L=1.0, T_M=0.05, T_R=0.05, lambda1=lam,
+                                                    lambda2=lam, lambda3=lam))
+
     @pytest.mark.parametrize("rho44", [0.0, 0.3, 0.99])
     def test_dark_pinned_fig2(self, fig2_params, rho44):
         dark = fig2_params.replace(lambda1=1.0, lambda2=1.0, lambda3=1.0)
-        if rho44 == 0.99:  # the dark state's row is the one the normalisation replaces
+        if rho44 == 0.99:  # the pinned dark state holds the most population
             assert np.argmax(steady_state(dark, rho44)) == 3
         assert_alpha_matches_mp(dark, rho44)
 
