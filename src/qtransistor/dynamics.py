@@ -104,6 +104,8 @@ _UP = ROW_J * 8 + ROW_I
 # (24, 8) incidence of the rows: row r takes its flow out of state ROW_I[r]
 # (-1) into state ROW_J[r] (+1)
 _INCIDENCE = np.eye(8)[ROW_J] - np.eye(8)[ROW_I]
+# the input columns of each row's reservoir temperature and decay rate
+_T_COLUMN, _GAMMA_COLUMN = 3 + ROW_RESERVOIR, 6 + ROW_RESERVOIR
 
 
 def _inputs(params: Sequence[SystemParams]) -> np.ndarray:
@@ -174,16 +176,16 @@ def _table(x: np.ndarray) -> tuple[_Table, np.ndarray]:
     a = transition_amplitudes(np.cos(beta), np.sin(beta), x[:, 9:12])
     kept = np.abs(a) > AMPLITUDE_TOL
     omega = eps[:, ROW_J] - eps[:, ROW_I]
-    T = x[:, 3 + ROW_RESERVOIR]
-    rate = np.where(kept, x[:, 6 + ROW_RESERVOIR] * a * a, 0.0)
+    T = x[:, _T_COLUMN]
+    rate = np.where(kept, x[:, _GAMMA_COLUMN] * a * a, 0.0)
     defined = kept & (omega > 0.0)
     # the two rows of a channel share omega bit for bit (the same sum or
     # difference of two eigenvalue magnitudes) and T, so nbar is evaluated
     # once per channel
     z = np.where(defined[:, ::2] | defined[:, 1::2], omega[:, ::2] / T[:, ::2], np.inf)
-    nbar = np.repeat(_nbar(z), 2, axis=1)
+    nbar = _nbar(z).repeat(2, axis=1)
     result = (_Table(omega, rate, T, nbar, rate * (nbar + 1.0), rate * nbar),
-              np.any(kept & ~defined, axis=1))
+              (kept & ~defined).any(axis=1))
     for array in (*result[0], result[1]):
         array.flags.writeable = False
     if key is not None:
@@ -246,8 +248,16 @@ def rate_matrix(params: SystemParams) -> np.ndarray:
     return W
 
 
+# GTH's index tuples of steps k = 1 .. 7, built once: A[k, :k], A[:k, k], A[k, k],
+# A[:k, :k] (None at k = 1: below state 1 only the unread A[0, 0] is left) of
+# (N, 8, 8) factors, and x[:k], x[k] of (N, 8, 1) vectors
+_STEPS = [(np.s_[:, k:k + 1, :k], np.s_[:, :k, k:k + 1], np.s_[:, k:k + 1, k:k + 1],
+           np.s_[:, :k, :k] if k > 1 else None, np.s_[:, :k], np.s_[:, k:k + 1])
+          for k in range(1, 8)]
+
+
 def _gth(A: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-    """Stationary vectors of the off-diagonal rates A[n, i, j] (j -> i).
+    """Stationary vectors of the (N, 8, 8) off-diagonal rates A[n, i, j] (j -> i).
 
     Grassmann-Taksar-Heyman state reduction: states are censored from the
     top down, their flows folded into the rates among the states below, and
@@ -261,33 +271,35 @@ def _gth(A: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
     fractions (non-negative, summing to 1) in which out_k returns to them.
     Also returns per point the highest state without outflow to those below
     it, or -1 (None if no point has one): that point's p is meaningless.
+    Each step indexes A through `_STEPS`, so N = 1 makes the same calls.
     """
-    n_points, n = A.shape[:2]
-    p = np.ones((n_points, n, 1))
+    n_points = len(A)
+    p = np.ones((n_points, 8, 1))
     with np.errstate(divide="ignore", invalid="ignore"):
-        for k in range(n - 1, 0, -1):
-            column, out = A[:, :k, k:k + 1], A[:, k:k + 1, k:k + 1]
+        for row, column, diagonal, block, _, _ in reversed(_STEPS):
+            column, out = A[column], A[diagonal]
             np.add.reduce(column, axis=1, keepdims=True, out=out)
             np.divide(column, out, out=column)
-            if k > 1:  # below state 1 only the unread A[0, 0] is left
-                block = A[:, :k, :k]
-                np.add(block, column * A[:, k:k + 1, :k], out=block)
+            if block is not None:
+                block = A[block]
+                np.add(block, column * A[row], out=block)
         _back_substitute(A, p)
-    dead = np.diagonal(A, axis1=1, axis2=2)[:, 1:] == 0.0
+    outflow = A.reshape(n_points, 64)[:, 9::9]  # A[k, k], k = 1 .. 7
     stuck = None
-    if dead.any():
-        stuck = np.where(dead.any(axis=1), n - 1 - np.argmax(dead[:, ::-1], axis=1), -1)
+    if np.count_nonzero(outflow) < outflow.size:
+        dead = outflow == 0.0
+        stuck = np.where(dead.any(axis=1), 7 - np.argmax(dead[:, ::-1], axis=1), -1)
     p = p[:, :, 0]
     return p / p.sum(axis=1, keepdims=True), stuck
 
 
 def _back_substitute(A: np.ndarray, x: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
-    """x_k = (A[k, :k] x[:k] - b_k) / A[k, k], k = 1 .. n-1, in place; no b is b = 0."""
-    for k in range(1, A.shape[1]):
-        s = np.matmul(A[:, k:k + 1, :k], x[:, :k])
+    """x_k = (A[k, :k] x[:k] - b_k) / A[k, k], k = 1 .. 7, in place; no b is b = 0."""
+    for row, _, diagonal, _, head, entry in _STEPS:
+        s = np.matmul(A[row], x[head])
         if b is not None:
-            s -= b[:, k:k + 1]
-        np.divide(s, A[:, k:k + 1, k:k + 1], out=x[:, k:k + 1])
+            s -= b[entry]
+        np.divide(s, A[diagonal], out=x[entry])
     return x
 
 
@@ -304,8 +316,8 @@ def _derivative(A: np.ndarray, p: np.ndarray, b: np.ndarray) -> np.ndarray:
     `_steady`) has b_3 = 0 and no rate into it, so its p'_3 is exactly 0.
     """
     b = b[:, :, None]
-    for k in range(A.shape[1] - 1, 1, -1):
-        b[:, :k] += A[:, :k, k:k + 1] * b[:, k:k + 1]
+    for _, column, _, _, head, entry in _STEPS[:0:-1]:
+        b[head] += A[column] * b[entry]
     x = _back_substitute(A, np.zeros_like(b), b)[:, :, 0]
     return x - x.sum(axis=1, keepdims=True) * p
 
@@ -348,12 +360,16 @@ def _steady(x: np.ndarray, pinned: np.ndarray, rho44: np.ndarray) -> _Steady:
 
     pinned[n] says whether point n has a dark-state pin, rho44[n] its value
     (0 where it has none).  A dark state, which has no rates, is drained
-    3 -> 0 at unit rate, as steady_state describes.
+    3 -> 0 at unit rate, as steady_state describes.  Where every point is
+    solved and none is pinned, `_gth`'s results are the populations: the
+    pins would scale them by 1 - 0 and add 0, which changes no bit.
     """
     n_points = len(x)
     failures = _Failures(n_points)
+    t, undefined = _table(x)
+    W = _rates(t.down, t.up)
     dark = _dark(x)
-    if dark.any() or pinned.any():  # else no pin can be missing, superfluous or out of range
+    if dark.any() or pinned.any():  # else no pin to check and no dark state to drain
         failures.record(dark & ~pinned, UnderdeterminedError,
                         "fully common coupling leaves the dark-state population free; "
                         "supply rho44_init")
@@ -361,14 +377,11 @@ def _steady(x: np.ndarray, pinned: np.ndarray, rho44: np.ndarray) -> _Steady:
                         "steady state is unique; rho44_init must not be supplied")
         failures.record(pinned & ~((rho44 >= 0.0) & (rho44 <= 1.0)), ParameterError,
                         "rho44_init must lie in [0, 1]")
-    t, undefined = _table(x)
+        W[dark, 0, DARK_STATE] = 1.0
     failures.record(undefined, ParameterError, _NBAR_UNDEFINED)
-    W = _rates(t.down, t.up)
-    W[dark, 0, DARK_STATE] = 1.0
-
-    p = np.full((n_points, 8), np.nan)
-    points = np.flatnonzero(failures.ok)
-    A = W[points]
+    points = failures.ok.nonzero()[0]
+    every_point = len(points) == n_points
+    A = W if every_point else W[points]
     q, stuck = _gth(A)
     if stuck is not None:
         keep = stuck < 0
@@ -377,6 +390,9 @@ def _steady(x: np.ndarray, pinned: np.ndarray, rho44: np.ndarray) -> _Steady:
                                                   "below it")
         failures.ok[points[~keep]] = False
         points, A, q = points[keep], A[keep], q[keep]
+    elif every_point and not pinned.any():
+        return _Steady(t, q, failures, points, A, q)
+    p = np.full((n_points, 8), np.nan)
     # rho44 is 0 where no pin is set, so this leaves lit points as they are
     p[points] = q * (1.0 - rho44[points, None])
     p[points, DARK_STATE] += rho44[points]
@@ -463,7 +479,7 @@ def _solve(
         heat = np.concatenate([_row_heat(t, _flow(t.down, t.up, dp)), _row_heat(t, d_flow)],
                               axis=2)
         dQ, size = heat.sum(axis=2), np.abs(heat).sum(axis=2)
-        others, others_size = (np.roll(v, 1, axis=1) + np.roll(v, 2, axis=1) for v in (dQ, size))
+        others, others_size = (v[:, [2, 0, 1]] + v[:, [1, 2, 0]] for v in (dQ, size))
         dQ = np.where(size > others_size, -others, dQ)
         failures.record(dQ[:, 1] == 0.0, DegenerateControlError,
                         f"dQ_M/dT_{control} vanishes at this operating point")

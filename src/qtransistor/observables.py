@@ -80,12 +80,16 @@ def heat_currents(params: SystemParams, p: np.ndarray) -> HeatCurrentTriple:
 
     Per channel pair (i, j) at Bohr frequency w the reservoir delivers
     w * (upward flux - downward flux); summing a reservoir's eight pairs
-    gives its current.
+    gives its current.  p holds the 8 populations, as an array or a
+    sequence; the table steady_state built for the same params is reused.
     """
+    p = np.asarray(p, dtype=float)
+    if p.shape != (8,):
+        raise ParameterError("population vector must have 8 components")
     t = _point_table(params)
-    flow = _flow(t.down, t.up, np.asarray(p, dtype=float)[None])
-    residual = float(np.max(np.abs(_rate_of_change(flow))))
-    return HeatCurrentTriple(*map(float, _currents(t, flow)[0]), steady_residual=residual)
+    flow = _flow(t.down, t.up, p[None])
+    residual = float(np.abs(_rate_of_change(flow)).max())
+    return HeatCurrentTriple(*_currents(t, flow)[0].tolist(), steady_residual=residual)
 
 
 def heat_currents_trace(params: SystemParams, p: np.ndarray) -> HeatCurrentTriple:

@@ -335,6 +335,29 @@ class TestBatchedKernel:
                                       steady_state(fig2_params.replace(T_M=0.001)))
         assert np.all(np.isnan(sol.alpha[5]))
 
+    def test_survivors_match_a_batch_without_failures(self, fig2_params, dark_params):
+        # solved by themselves, the ok points take `_steady`'s no-failure path,
+        # the lit ones alone also its no-pin path; interleaved with the five
+        # failing kinds above they are copied out and pinned: every number of
+        # theirs must come out the same, bit for bit
+        lam = 1.0 - 1e-13
+        ok = [fig2_params, dark_params, fig2_params.replace(T_L=1.0, T_M=0.05, T_R=0.05),
+              fig2_params.replace(T_M=2.0)]
+        ok_pins = [None, 0.3, None, None]
+        failing = [dark_params, fig2_params.replace(lambda1=lam, lambda2=lam, lambda3=lam),
+                   fig2_params, dark_params, fig2_params.replace(T_M=0.001)]
+        failing_pins = [None, None, 0.3, 1.5, None]
+        mixed = solve([x for pair in zip(failing, ok) for x in pair] + failing[4:],
+                      [x for pair in zip(failing_pins, ok_pins) for x in pair] + failing_pins[4:],
+                      control="M")
+        assert [n for n, error in enumerate(mixed.errors) if error is None] == [1, 3, 5, 7]
+        for subset in ([0, 1, 2, 3], [0, 2, 3]):
+            alone = solve([ok[k] for k in subset], [ok_pins[k] for k in subset], control="M")
+            assert alone.errors == [None] * len(subset)
+            for n, k in enumerate(subset):
+                for got, expected in zip(alone[:4], mixed[:4]):
+                    assert got[n].tobytes() == expected[2 * k + 1].tobytes()
+
     def test_malformed_call_raises(self, fig2_params):
         with pytest.raises(ParameterError):
             solve([fig2_params], control="X")
