@@ -6,7 +6,10 @@ energy eigenbasis S_nu splits into channels S_{nu,k}, one per positive Bohr
 frequency, each holding at most two transition amplitudes.  Two
 constructions are provided: closed-form coefficients (channels_analytic)
 and a generic numerical regrouping (decompose_numeric); they must agree
-entrywise.
+entrywise.  The closed forms are stated once, as the 24 rows of
+TRANSITIONS evaluated by transition_rows: channels_analytic groups them
+into channels, and the kernel table of dynamics and the Lindblad
+superoperator (through channels_analytic) read the same rows.
 
 Note the eigenbasis transform of S_nu also contains small raising entries
 at negative Bohr frequencies (counter-rotating admixtures of order
@@ -19,7 +22,7 @@ frequencies.  Channels therefore reconstruct exactly the positive-frequency
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -27,7 +30,7 @@ from .model import (
     RESERVOIRS,
     EigenSystem,
     SystemParams,
-    analytic_eigensystem,
+    closed_forms,
     min_distinct_bohr_gap,
 )
 
@@ -84,23 +87,6 @@ def jump_operators(params: SystemParams) -> tuple[np.ndarray, np.ndarray, np.nda
     return S_L, S_M, S_R
 
 
-def _channel(reservoir, index, eigenvalues, entries) -> DissipationChannel:
-    kept = tuple((i, j, a) for (i, j, a) in entries if abs(a) > AMPLITUDE_TOL)
-    op = np.zeros((8, 8))
-    freq = 0.0
-    for i, j, a in kept:
-        op[i, j] = a
-        freq = eigenvalues[j] - eigenvalues[i]
-    if not kept:
-        # empty channel (possible only at g = 0); keep the nominal frequency
-        i, j, _ = entries[0]
-        freq = eigenvalues[j] - eigenvalues[i]
-    return DissipationChannel(
-        reservoir=reservoir, index=index, frequency=float(freq),
-        operator=op, amplitudes=kept,
-    )
-
-
 # One row per channel amplitude a = <eps_i|S_nu|eps_j>, two rows per channel
 # in channel order L1..L4, M1..M4, R1..R4: (i, j, reservoir, sign, x, y,
 # over_rt2) with a = sign * x * y, divided by sqrt(2) where over_rt2 is set.
@@ -142,23 +128,38 @@ def transition_amplitudes(cos: np.ndarray, sin: np.ndarray, lambdas: np.ndarray)
     return _SIGN * (F[:, _X] * F[:, _Y]) / _DIVISOR
 
 
-def channels_analytic(params: SystemParams, eig: EigenSystem | None = None) -> list[DissipationChannel]:
-    """All 12 channels with closed-form amplitudes (the TRANSITIONS table).
+def transition_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(N, 24) arrays omega, a and kept of the (N, 12) input rows x, in TRANSITIONS order.
 
-    Transition pairs are fixed by the doublet structure; amplitudes combine
-    cos(beta) factors with the common-coupling strengths.
+    x holds the SystemParams fields in order.  omega is the Bohr frequency
+    eps_j - eps_i of row (i, j) from model.closed_forms, a the amplitude
+    <eps_i|S_nu|eps_j> and kept = |a| > AMPLITUDE_TOL, the rows that carry a
+    rate.  The two rows of a channel share omega bit for bit (the same sum
+    or difference of two eigenvalue magnitudes).
     """
-    if eig is None:
-        eig = analytic_eigensystem(params)
-    beta = np.array([eig.mixing_angles[:3]])
-    a = transition_amplitudes(
-        np.cos(beta), np.sin(beta), np.array([[params.lambda1, params.lambda2, params.lambda3]]),
-    )[0].tolist()
-    rows = [(i, j, a[r]) for r, (i, j, *_) in enumerate(TRANSITIONS)]
-    return [
-        _channel(TRANSITIONS[2 * c][2], c % 4 + 1, eig.eigenvalues, rows[2 * c:2 * c + 2])
-        for c in range(12)
-    ]
+    eps, beta = closed_forms(x)
+    a = transition_amplitudes(np.cos(beta), np.sin(beta), x[:, 9:12])
+    return eps[:, ROW_J] - eps[:, ROW_I], a, np.abs(a) > AMPLITUDE_TOL
+
+
+def channels_analytic(params: SystemParams) -> list[DissipationChannel]:
+    """All 12 channels of one point, from its transition rows.
+
+    Channel c holds rows 2c and 2c + 1; its frequency is their shared
+    omega, and only kept rows enter its amplitudes and operator, so a
+    channel can be empty (possible only at g = 0).
+    """
+    omega, a, kept = (column[0].tolist() for column in
+                      transition_rows(np.array([astuple(params)], dtype=float)))
+    channels = []
+    for c in range(12):
+        amplitudes = tuple((*TRANSITIONS[r][:2], a[r]) for r in (2 * c, 2 * c + 1) if kept[r])
+        op = np.zeros((8, 8))
+        for i, j, amplitude in amplitudes:
+            op[i, j] = amplitude
+        channels.append(DissipationChannel(TRANSITIONS[2 * c][2], c % 4 + 1, omega[2 * c],
+                                           op, amplitudes))
+    return channels
 
 
 def positive_frequency_part(S: np.ndarray, eig: EigenSystem) -> np.ndarray:

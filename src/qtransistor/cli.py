@@ -41,7 +41,7 @@ from .experiments import (
     write_population_csv,
     write_sweep_csv,
 )
-from .model import ParameterError, validate_secular
+from .model import RESERVOIRS, ParameterError, validate_secular
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -66,7 +66,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--range", dest="range_", default=None, metavar="LO:HI",
                          help="override the sweep range")
     p_sweep.add_argument("--points", type=int, default=None)
-    p_sweep.add_argument("--control", choices=("L", "M", "R"), default=None)
+    p_sweep.add_argument("--control", choices=RESERVOIRS, default=None)
 
     p_mod = sub.add_parser("modulate", help="dark-state heat modulation protocol")
     add_common(p_mod)

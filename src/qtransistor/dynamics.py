@@ -12,10 +12,11 @@ included, and its factors also give the steady-state derivatives behind
 the amplification factors; currents and the residual max|W p| come from
 the table's rows.  Nothing in it loops over points or channels.
 rate_matrix, steady_state and (in observables) heat_currents and
-amplification_factor are its N = 1 calls.  The table's eigenvalues,
-mixing angles and Bose occupations are the numpy ufunc closed forms that
-the scalar helpers (analytic_eigensystem, mixing_angle, bose_occupation)
-call on one row, so one point's table equals their numbers bit for bit.
+amplification_factor are its N = 1 calls.  The table reads its rows from
+channels.transition_rows, as channels_analytic and so the Lindblad
+superoperator do, and its Bose occupations from _nbar, which
+bose_occupation calls on one value, so one point's table equals their
+numbers bit for bit.
 Coherences decay independently, so the steady state is diagonal; a full
 density-matrix propagator is kept as an oracle for that claim.
 """
@@ -30,23 +31,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channels import (
-    AMPLITUDE_TOL,
-    ROW_I,
-    ROW_J,
-    ROW_RESERVOIR,
-    channels_analytic,
-    transition_amplitudes,
-)
-from .model import (
-    FIELD_NAMES,
-    RESERVOIRS,
-    EigenSystem,
-    ParameterError,
-    SystemParams,
-    analytic_eigensystem,
-    closed_forms,
-)
+from .channels import ROW_I, ROW_J, ROW_RESERVOIR, channels_analytic, transition_rows
+from .model import FIELD_NAMES, RESERVOIRS, ParameterError, SystemParams, analytic_eigensystem
 
 # 0-based index of the eigenstate that decouples at lambda = (1, 1, 1)
 DARK_STATE = 3
@@ -128,10 +114,10 @@ class _Table(NamedTuple):
     """Transition table of N points: (N, 24) arrays, rows as channels.TRANSITIONS.
 
     omega is the Bohr frequency eps_j - eps_i of row (i, j), rate = gamma a^2
-    (0 where |a| <= AMPLITUDE_TOL, the amplitudes channels_analytic drops),
-    T and nbar the temperature and Bose occupation of the row's reservoir
-    at omega.  down = rate (nbar + 1) and up = rate nbar are the transfer
-    rates j -> i and i -> j.
+    (0 on the rows channels.transition_rows does not keep), T and nbar the
+    temperature and Bose occupation of the row's reservoir at omega (nbar
+    0 on rows not kept, and where it is undefined).  down = rate (nbar + 1) and up = rate nbar are
+    the transfer rates j -> i and i -> j.
     """
 
     omega: np.ndarray
@@ -153,13 +139,16 @@ _last_table: tuple[bytes, tuple[_Table, np.ndarray]] | None = None
 def _table(x: np.ndarray) -> tuple[_Table, np.ndarray]:
     """Transition table of the input rows x, and where it is undefined.
 
-    Eigenvalues and mixing angles come from model.closed_forms and the
-    occupations from _nbar, which the scalar helpers call on one row, so
-    a row's amplitude and nbar equal channels_analytic's and
-    bose_occupation's bit for bit.  The second result flags the points
-    with a kept row at omega <= 0, where nbar does not exist
-    (bose_occupation raises there); temperatures are positive by
-    SystemParams' own checks.
+    The rows come from channels.transition_rows and the occupations from
+    _nbar, which bose_occupation calls on one value.  The second result
+    flags the points with a kept row at omega <= 0, where nbar does not
+    exist (bose_occupation raises there); temperatures are positive by
+    SystemParams' own checks.  nbar is built C-ordered on purpose: omega
+    and T, gathered along axis 1, are F-ordered, and an F-ordered nbar
+    would make down, up and the row heats F-ordered too, so that
+    `_currents` would add a reservoir's 8 rows one after another instead
+    of pairwise, and a batch's currents would differ from those of its
+    points solved one by one in the last bits.
 
     The result depends on nothing but the values in x, so the last
     single-point one (only single points are asked for twice in a row:
@@ -172,18 +161,13 @@ def _table(x: np.ndarray) -> tuple[_Table, np.ndarray]:
     last = _last_table
     if last is not None and last[0] == key:
         return last[1]
-    eps, beta = closed_forms(x)
-    a = transition_amplitudes(np.cos(beta), np.sin(beta), x[:, 9:12])
-    kept = np.abs(a) > AMPLITUDE_TOL
-    omega = eps[:, ROW_J] - eps[:, ROW_I]
+    omega, a, kept = transition_rows(x)
     T = x[:, _T_COLUMN]
     rate = np.where(kept, x[:, _GAMMA_COLUMN] * a * a, 0.0)
     defined = kept & (omega > 0.0)
-    # the two rows of a channel share omega bit for bit (the same sum or
-    # difference of two eigenvalue magnitudes) and T, so nbar is evaluated
-    # once per channel
-    z = np.where(defined[:, ::2] | defined[:, 1::2], omega[:, ::2] / T[:, ::2], np.inf)
-    nbar = _nbar(z).repeat(2, axis=1)
+    z = np.full(omega.shape, np.inf)  # C-ordered, see above
+    np.divide(omega, T, out=z, where=defined)
+    nbar = _nbar(z)
     result = (_Table(omega, rate, T, nbar, rate * (nbar + 1.0), rate * nbar),
               (kept & ~defined).any(axis=1))
     for array in (*result[0], result[1]):
@@ -230,6 +214,12 @@ def _currents(t: _Table, flow: np.ndarray) -> np.ndarray:
 def _rate_of_change(flow: np.ndarray) -> np.ndarray:
     """(N, 8) W p from the row flows: each flows out of state i into state j."""
     return flow @ _INCIDENCE
+
+
+def _heat(t: _Table, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(N, 3) heat currents of populations p (N, 8) on table t, and (N,) their max|W p|."""
+    flow = _flow(t.down, t.up, p)
+    return _currents(t, flow), np.max(np.abs(_rate_of_change(flow)), axis=1)
 
 
 def rate_matrix(params: SystemParams) -> np.ndarray:
@@ -465,9 +455,7 @@ def _solve(
     if control is not None and control not in RESERVOIRS:
         raise ParameterError("control terminal must be one of 'L', 'M', 'R'")
     t, p, failures, solved, factors, stationary = _steady(x, pinned, rho44)
-    flow = _flow(t.down, t.up, p)
-    currents = _currents(t, flow)
-    residual = np.max(np.abs(_rate_of_change(flow)), axis=1)
+    currents, residual = _heat(t, p)
 
     alpha = np.full((len(p), 2), np.nan)
     if control is not None:
@@ -577,22 +565,18 @@ def _dissipator_term(X: np.ndarray) -> np.ndarray:
     return _superop(X, X.T) - 0.5 * (_superop(XtX, I8) + _superop(I8, XtX))
 
 
-def dissipator_superoperator(
-    params: SystemParams,
-    reservoir: str | None = None,
-    eig: EigenSystem | None = None,
-) -> np.ndarray:
+def dissipator_superoperator(params: SystemParams, reservoir: str | None = None) -> np.ndarray:
     """64x64 dissipative generator in the energy eigenbasis (row-major vec).
 
     Sums gamma (nbar+1) D[S_k] + gamma nbar D[S_k^T] over the channels of
-    one reservoir (or all three).  The Hamiltonian commutator is not
-    included: in the eigenbasis it only attaches phases to coherences and
-    is applied analytically by evolve_density_matrix.
+    one reservoir (or all three), as channels_analytic builds them from the
+    transition rows the kernel's table reads; empty channels add nothing.
+    The Hamiltonian commutator is not included: in the eigenbasis it only
+    attaches phases to coherences and is applied analytically by
+    evolve_density_matrix.
     """
-    if eig is None:
-        eig = analytic_eigensystem(params)
     D = np.zeros((64, 64))
-    for ch in channels_analytic(params, eig):
+    for ch in channels_analytic(params):
         if reservoir is not None and ch.reservoir != reservoir:
             continue
         if not ch.amplitudes:
@@ -633,7 +617,7 @@ def evolve_density_matrix(
     rho0 = _check_density_matrix(rho0)
     t_grid = _check_times(t_grid)
     eig = analytic_eigensystem(params)
-    traj = _integrate(lambda: dissipator_superoperator(params, eig=eig),
+    traj = _integrate(lambda: dissipator_superoperator(params),
                       rho0.reshape(64), t_grid, "density-matrix").reshape(-1, 8, 8)
     phase = np.exp(-1j * (eig.eigenvalues[:, None] - eig.eigenvalues[None, :])
                    * (t_grid - t_grid[0])[:, None, None])

@@ -4,7 +4,7 @@ A run is defined by a flat key = value config (one assignment per line,
 '#' comments): the SystemParams fields (or a common 'gamma') plus a sweep
 axis.  A sweep stays in columns from grid to CSV: `_grid` repeats the base
 point's kernel input row and writes the swept columns (the grid of every
-SweepSpec, of the population curves and of observables.optimize_lambda),
+SweepSpec, of the population curves and of optimize_lambda's scans),
 one vectorised check (model.check_rows) validates all rows, and the
 batched kernel dynamics._solve takes them as they are, all of a command's
 operating points in one call (run_modulation in two, as its second state
@@ -12,29 +12,30 @@ depends on the first).  No object is built per grid point: run_sweep
 returns the sweep as columns (SweepResult: grid values, input rows, pins,
 the kernel's Solution and the secular-pass column of
 model.secular_checks), and sweep_rows formats each CSV row straight from
-them as one %-format, CELL_FORMAT per cell, the cells picked by the row's
-format.  write_lines writes all text, to a file or stdout.  Every output
-row carries the resolved inputs needed to reproduce it, numbers are
-written with 17 significant digits and no timestamps enter the data, so
-identical configs yield bit-identical files.
+them with one row format, CELL_FORMAT per number and blanks for the
+numbers a point lacks.  write_lines writes all text, to a file or
+stdout.  Every output row carries the resolved inputs needed to
+reproduce it, numbers are written with 17 significant digits and no
+timestamps enter the data, so identical configs yield bit-identical
+files.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-import operator
 import os
 import sys
-from collections.abc import Callable, Mapping
+from collections.abc import Mapping
 from dataclasses import MISSING, dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
 
 from .dynamics import (
+    DegenerateControlError,
     DriveSpec,
     Solution,
+    SteadyStateError,
     _dark,
     _inputs,
     _raise_first,
@@ -44,6 +45,7 @@ from .dynamics import (
 )
 from .model import (
     FIELD_NAMES,
+    RESERVOIRS,
     ParameterError,
     SystemParams,
     check_rows,
@@ -115,8 +117,12 @@ class SweepSpec:
             raise ConfigError("sweep range must satisfy lo < hi")
         if self.points < 2:
             raise ConfigError("a sweep needs at least 2 points")
-        if self.control not in ("L", "M", "R"):
+        if self.control not in RESERVOIRS:
             raise ConfigError("control terminal must be 'L', 'M' or 'R'")
+        if self.axis == "rho44_init" and not self.base.fully_common:
+            # only a dark state has a population to pin: the axis would change nothing
+            raise ConfigError("a rho44_init sweep needs fully common coupling, "
+                              "lambda1 = lambda2 = lambda3 = 1")
         unknown = set(self.outputs) - set(DEFAULT_OUTPUTS)
         if unknown:
             raise ConfigError(f"unknown outputs {sorted(unknown)}")
@@ -166,6 +172,90 @@ def _grid(
     return x, pinned, np.where(pinned, rho44, 0.0)
 
 
+@dataclass(frozen=True)
+class LambdaScan:
+    """Grid scan of alpha_L over a subset of the common-coupling strengths."""
+
+    axes: tuple[str, ...]
+    grids: tuple[np.ndarray, ...]  # one grid per free axis
+    alpha_L: np.ndarray            # shape (len(grid),) per axis, NaN = failed
+    argmax: tuple[float, ...]      # lambda values of the best grid point
+    max_alpha_L: float
+    monotonicity: dict[str, str]
+    n_failed: int
+
+
+_LAMBDA_FIELDS = ("lambda1", "lambda2", "lambda3")
+
+
+def optimize_lambda(
+    params_base: SystemParams,
+    free: tuple[str, ...] = ("lambda1",),
+    resolution: int = 11,
+    control: str = "M",
+    rho44_init: float | None = None,
+) -> LambdaScan:
+    """Exhaustive scan of alpha_L over the free lambda axes on [0, 1].
+
+    resolution = 1 degenerates to a single evaluation at the base lambdas
+    (a consistency check against amplification_factor).  Points where the
+    amplification factor is undefined (degenerate control, or a non-unique
+    steady state without rho44_init) are marked NaN and excluded from the
+    argmax.  The per-axis monotonicity summary reports 'increasing',
+    'decreasing' or 'mixed' from all finite differences along that axis.
+    """
+    for name in free:
+        if name not in _LAMBDA_FIELDS:
+            raise ParameterError(f"free axis {name!r} is not a lambda parameter")
+    if not free or len(set(free)) != len(free):
+        raise ParameterError("free axes must be non-empty and distinct")
+    if not (float(resolution).is_integer() and resolution >= 1):
+        raise ParameterError(f"resolution = {resolution} must be an integer of at least 1")
+    if resolution == 1:
+        grids = tuple(np.array([getattr(params_base, name)]) for name in free)
+    else:
+        grids = tuple(np.linspace(0.0, 1.0, int(resolution)) for _ in free)
+
+    shape = tuple(g.size for g in grids)
+    mesh = np.meshgrid(*grids, indexing="ij")
+    x, pinned, rho44 = _grid(params_base, {name: m.ravel() for name, m in zip(free, mesh)},
+                             rho44_init)
+    sol = _solve(x, pinned, rho44, control)
+    for error in sol.errors:
+        if error is not None and not isinstance(error, (DegenerateControlError, SteadyStateError)):
+            raise error
+    alpha = sol.alpha[:, 0].reshape(shape)
+    n_failed = sum(error is not None for error in sol.errors)
+
+    if np.all(np.isnan(alpha)):
+        raise DegenerateControlError("no valid grid point in the lambda scan")
+    best = np.unravel_index(np.nanargmax(alpha), shape)
+    argmax = tuple(float(grids[ax][i]) for ax, i in enumerate(best))
+
+    monotonicity = {}
+    for axis, name in enumerate(free):
+        d = np.diff(alpha, axis=axis)
+        d = d[np.isfinite(d)]
+        if d.size == 0:
+            monotonicity[name] = "mixed"
+        elif np.all(d >= -1e-12):
+            monotonicity[name] = "increasing"
+        elif np.all(d <= 1e-12):
+            monotonicity[name] = "decreasing"
+        else:
+            monotonicity[name] = "mixed"
+
+    return LambdaScan(
+        axes=tuple(free),
+        grids=grids,
+        alpha_L=alpha,
+        argmax=argmax,
+        max_alpha_L=float(np.nanmax(alpha)),
+        monotonicity=monotonicity,
+        n_failed=n_failed,
+    )
+
+
 class SweepResult(NamedTuple):
     """A sweep in columns; row n of each array belongs to the n-th grid point.
 
@@ -209,35 +299,25 @@ def error_text(error: Exception) -> str:
     return f"{type(error).__name__}: {error}"
 
 
-def _sweep_format(currents: bool, alpha: bool, populations: bool) -> tuple[str, Callable]:
-    """Row format of a sweep point, blanks for the numbers it lacks, and the picker of its cells.
-
-    The picker takes the point's 16 cells: axis value, Q_L, Q_M, Q_R,
-    alpha_L, alpha_R, the 8 populations, secular flag and error.
-    """
-    groups = ((True, 1), (currents, 3), (alpha, 2), (populations, 8))
-    present = [on for on, size in groups for _ in range(size)]
-    row = ",".join([CELL_FORMAT if on else "" for on in present] + ["%s", "%s"])
-    cells = [k for k, on in enumerate(present) if on] + [len(present), len(present) + 1]
-    return row, operator.itemgetter(*cells)
-
-
-# keyed on which of currents, alpha and populations a point has
-_SWEEP_FORMATS = {has: _sweep_format(*has) for has in itertools.product((False, True), repeat=3)}
+# the 14 numbers of a sweep row: axis value, Q_L, Q_M, Q_R, alpha_L, alpha_R
+# and the 8 populations
+_SWEEP_ROW = ",".join([CELL_FORMAT] * 14)
 
 
 def sweep_rows(result: SweepResult) -> list[str]:
+    """The CSV rows of a sweep; a number the point lacks (NaN) is a blank cell.
+
+    CELL_FORMAT writes every NaN as "nan", and no finite number's text holds
+    those letters, so blanking them in the numbers leaves the rest intact.
+    """
     sol = result.solution
-    numbers = np.column_stack([result.values, sol.currents, sol.alpha, sol.populations])
-    solved = ~np.isnan(sol.populations[:, 0])
-    want_currents, want_alpha = "currents" in result.outputs, "alpha" in result.outputs
+    currents = sol.currents if "currents" in result.outputs else np.full_like(sol.currents, np.nan)
+    numbers = np.column_stack([result.values, currents, sol.alpha, sol.populations])
     rows = []
-    for cells, ok, error, passed in zip(numbers.tolist(), solved.tolist(), sol.errors,
-                                        result.secular.tolist()):
-        row, pick = _SWEEP_FORMATS[ok and want_currents, want_alpha and error is None, ok]
-        cells += ("PASS" if passed else "WARN",
-                  "" if error is None else error_text(error).replace(",", ";"))
-        rows.append(row % pick(cells))
+    for cells, error, passed in zip(numbers.tolist(), sol.errors, result.secular.tolist()):
+        error = "" if error is None else error_text(error).replace(",", ";")
+        rows.append(f"{(_SWEEP_ROW % tuple(cells)).replace('nan', '')},"
+                    f"{'PASS' if passed else 'WARN'},{error}")
     return rows
 
 

@@ -173,16 +173,19 @@ def closed_forms(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def mixing_angle(omega_i: float, g: float) -> float:
     """Rotation angle beta_i of one eigenstate doublet (see closed_forms).
 
-    The decoupled limit g = 0 returns 0, except at omega_i = 0 where the
-    formula limit pi/4 is kept as the convention for the degenerate central
-    doublet.
+    The central doublet omega_i = 0 has e = g, so sin(beta) = 1/sqrt(2)
+    exactly: it returns pi/4 for every g, g = 0 included (the convention
+    for the degenerate doublet), where the formula would lose g^2 to
+    underflow for tiny g.  Otherwise the decoupled limit g = 0 returns 0.
     """
     if omega_i < 0:
         raise ParameterError("omega_i must be non-negative")
     if g < 0:
         raise ParameterError("g must be non-negative")
+    if omega_i == 0.0:
+        return 0.25 * math.pi
     if g == 0.0:
-        return 0.25 * math.pi if omega_i == 0.0 else 0.0
+        return 0.0
     return float(closed_forms(np.array([[omega_i, omega_i, g]]))[1][0, 1])
 
 

@@ -14,19 +14,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import (
-    DegenerateControlError,
-    SteadyStateError,
-    _currents,
-    _flow,
+    _heat,
     _point_table,
-    _rate_of_change,
-    _solve,
     _solve_point,
     dissipator_superoperator,
     rate_matrix,
     steady_state,
 )
-from .model import ParameterError, SystemParams, analytic_eigensystem
+from .model import RESERVOIRS, ParameterError, SystemParams, analytic_eigensystem
 
 STEADY_RESIDUAL_TOL = 1e-8
 
@@ -86,10 +81,8 @@ def heat_currents(params: SystemParams, p: np.ndarray) -> HeatCurrentTriple:
     p = np.asarray(p, dtype=float)
     if p.shape != (8,):
         raise ParameterError("population vector must have 8 components")
-    t = _point_table(params)
-    flow = _flow(t.down, t.up, p[None])
-    residual = float(np.abs(_rate_of_change(flow)).max())
-    return HeatCurrentTriple(*_currents(t, flow)[0].tolist(), steady_residual=residual)
+    currents, residual = _heat(_point_table(params), p[None])
+    return HeatCurrentTriple(*currents[0].tolist(), steady_residual=float(residual[0]))
 
 
 def heat_currents_trace(params: SystemParams, p: np.ndarray) -> HeatCurrentTriple:
@@ -103,12 +96,8 @@ def heat_currents_trace(params: SystemParams, p: np.ndarray) -> HeatCurrentTripl
     W = rate_matrix(params)
     residual = float(np.max(np.abs(W @ p)))
     rho_vec = np.diag(p).reshape(64)
-    out = {}
-    for nu in ("L", "M", "R"):
-        D_nu = dissipator_superoperator(params, reservoir=nu, eig=eig)
-        drho = (D_nu @ rho_vec).reshape(8, 8)
-        out[nu] = float(np.sum(eig.eigenvalues * np.diag(drho)))
-    return HeatCurrentTriple(Q_L=out["L"], Q_M=out["M"], Q_R=out["R"],
+    drho = [(dissipator_superoperator(params, nu) @ rho_vec).reshape(8, 8) for nu in RESERVOIRS]
+    return HeatCurrentTriple(*(float(np.sum(eig.eigenvalues * np.diag(d))) for d in drho),
                              steady_residual=residual)
 
 
@@ -189,89 +178,3 @@ def closed_form_discrepancy(params: SystemParams, rho44: float) -> tuple[float, 
             stacklevel=2,
         )
     return float(np.max(np.abs(approx - full))), neglected
-
-
-@dataclass(frozen=True)
-class LambdaScan:
-    """Grid scan of alpha_L over a subset of the common-coupling strengths."""
-
-    axes: tuple[str, ...]
-    grids: tuple[np.ndarray, ...]  # one grid per free axis
-    alpha_L: np.ndarray            # shape (len(grid),) per axis, NaN = failed
-    argmax: tuple[float, ...]      # lambda values of the best grid point
-    max_alpha_L: float
-    monotonicity: dict[str, str]
-    n_failed: int
-
-
-_LAMBDA_FIELDS = ("lambda1", "lambda2", "lambda3")
-
-
-def optimize_lambda(
-    params_base: SystemParams,
-    free: tuple[str, ...] = ("lambda1",),
-    resolution: int = 11,
-    control: str = "M",
-    rho44_init: float | None = None,
-) -> LambdaScan:
-    """Exhaustive scan of alpha_L over the free lambda axes on [0, 1].
-
-    resolution = 1 degenerates to a single evaluation at the base lambdas
-    (a consistency check against amplification_factor).  Points where the
-    amplification factor is undefined (degenerate control, or a non-unique
-    steady state without rho44_init) are marked NaN and excluded from the
-    argmax.  The per-axis monotonicity summary reports 'increasing',
-    'decreasing' or 'mixed' from all finite differences along that axis.
-    """
-    for name in free:
-        if name not in _LAMBDA_FIELDS:
-            raise ParameterError(f"free axis {name!r} is not a lambda parameter")
-    if not free or len(set(free)) != len(free):
-        raise ParameterError("free axes must be non-empty and distinct")
-    if resolution < 1:
-        raise ParameterError("resolution must be at least 1")
-    if resolution == 1:
-        grids = tuple(np.array([getattr(params_base, name)]) for name in free)
-    else:
-        grids = tuple(np.linspace(0.0, 1.0, resolution) for _ in free)
-
-    from .experiments import _grid  # experiments imports this module
-
-    shape = tuple(g.size for g in grids)
-    mesh = np.meshgrid(*grids, indexing="ij")
-    x, pinned, rho44 = _grid(params_base, {name: m.ravel() for name, m in zip(free, mesh)},
-                             rho44_init)
-    sol = _solve(x, pinned, rho44, control)
-    for error in sol.errors:
-        if error is not None and not isinstance(error, (DegenerateControlError, SteadyStateError)):
-            raise error
-    alpha = sol.alpha[:, 0].reshape(shape)
-    n_failed = sum(error is not None for error in sol.errors)
-
-    if np.all(np.isnan(alpha)):
-        raise DegenerateControlError("no valid grid point in the lambda scan")
-    best = np.unravel_index(np.nanargmax(alpha), shape)
-    argmax = tuple(float(grids[ax][i]) for ax, i in enumerate(best))
-
-    monotonicity = {}
-    for axis, name in enumerate(free):
-        d = np.diff(alpha, axis=axis)
-        d = d[np.isfinite(d)]
-        if d.size == 0:
-            monotonicity[name] = "mixed"
-        elif np.all(d >= -1e-12):
-            monotonicity[name] = "increasing"
-        elif np.all(d <= 1e-12):
-            monotonicity[name] = "decreasing"
-        else:
-            monotonicity[name] = "mixed"
-
-    return LambdaScan(
-        axes=tuple(free),
-        grids=grids,
-        alpha_L=alpha,
-        argmax=argmax,
-        max_alpha_L=float(np.nanmax(alpha)),
-        monotonicity=monotonicity,
-        n_failed=n_failed,
-    )

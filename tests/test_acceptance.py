@@ -67,7 +67,7 @@ def test_criterion_01_eigensystem_fidelity():
                                        rtol=1e-10, atol=1e-13)
             analytic = {ch.reservoir: [] for ch in []}
             for nu, S in zip("LMR", jump_operators(params)):
-                ana = [ch for ch in channels_analytic(params, eig)
+                ana = [ch for ch in channels_analytic(params)
                        if ch.reservoir == nu and ch.amplitudes]
                 num = decompose_numeric(S, eig, reservoir=nu)
                 assert len(num) == len(ana)

@@ -75,7 +75,7 @@ class TestAnalyticChannels:
         params = fig2_params.replace(lambda2=0.0)
         eig = analytic_eigensystem(params)
         expected = np.cos(eig.mixing_angles.beta_M) / np.sqrt(2.0)
-        (ch,) = [c for c in channels_analytic(params, eig)
+        (ch,) = [c for c in channels_analytic(params)
                  if c.reservoir == "M" and c.index == 1]
         amps = sorted(abs(a) for _, _, a in ch.amplitudes)
         assert amps == pytest.approx([expected, expected], rel=1e-14)
@@ -96,7 +96,7 @@ class TestAnalyticChannels:
         # the counter-rotating raising entries stay outside the decomposition
         eig = analytic_eigensystem(fig2_params)
         jumps = dict(zip("LMR", jump_operators(fig2_params)))
-        by_nu = _channels_by_reservoir(channels_analytic(fig2_params, eig))
+        by_nu = _channels_by_reservoir(channels_analytic(fig2_params))
         for nu, S in jumps.items():
             total = sum(ch.operator for ch in by_nu[nu])
             np.testing.assert_allclose(
@@ -162,7 +162,7 @@ class TestNumericDecomposition:
             params = random_params(rng)
             eig = analytic_eigensystem(params)
             jumps = dict(zip("LMR", jump_operators(params)))
-            by_nu = _channels_by_reservoir(channels_analytic(params, eig))
+            by_nu = _channels_by_reservoir(channels_analytic(params))
             for nu, S in jumps.items():
                 numeric = decompose_numeric(S, eig, reservoir=nu)
                 assert len(numeric) == len([c for c in by_nu[nu] if c.amplitudes])

@@ -82,6 +82,13 @@ def test_all_points_failed_exit_code(tmp_path, capsys):
     assert main(["sweep", "--config", str(cfg)]) == 3
 
 
+def test_rho44_sweep_needs_fully_common_coupling(capsys):
+    # without a dark state there is no population to pin: the axis would change nothing
+    assert main(["sweep", "--config", "fig2", "--axis", "rho44_init", "--range", "0:0.5",
+                 "--points", "3"]) == 2
+    assert "rho44_init sweep needs fully common coupling" in capsys.readouterr().err
+
+
 def test_modulate_subcommand(tmp_path, capsys):
     traj = tmp_path / "traj.csv"
     assert main(["modulate", "--config", "fig8", "--trajectory-out", str(traj)]) == 0

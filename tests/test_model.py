@@ -137,6 +137,12 @@ class TestMixingAngle:
         assert mixing_angle(2.0, 0.0) == 0.0
         assert mixing_angle(0.0, 0.0) == pytest.approx(math.pi / 4)
 
+    @pytest.mark.parametrize("g", [1e-170, 1e-160, 0.1])
+    def test_central_doublet_is_pi_over_4_for_every_g(self, g):
+        # e = g at omega = 0, so sin(beta) = 1/sqrt(2) exactly; g^2 is subnormal
+        # below g = 1.5e-154 and 0 below g = 1.6e-162
+        assert mixing_angle(0.0, g) == 0.25 * math.pi
+
     def test_value_at_fig2_top_doublet(self):
         # independent evaluation of the defining formula
         w, g = 31.0, 0.1
@@ -174,6 +180,10 @@ class TestEigensystem:
         assert eig.eigenvalues[3] == eig.eigenvalues[4] == 0.0
         assert eig.mixing_angles.beta_4 == pytest.approx(math.pi / 4)
         assert eig.mixing_angles.beta_R == 0.0
+
+    def test_tiny_g_eigenvectors_are_orthonormal(self, fig2_params):
+        V = analytic_eigensystem(fig2_params.replace(g=1e-170)).eigenvectors
+        np.testing.assert_allclose(V.T @ V, np.eye(8), atol=1e-15)
 
     def test_spectrum_symmetric(self, fig2_params):
         eig = analytic_eigensystem(fig2_params)

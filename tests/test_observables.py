@@ -1,3 +1,5 @@
+import math
+
 import mpmath
 import numpy as np
 import pytest
@@ -6,7 +8,6 @@ from qtransistor import (
     DegenerateControlError,
     ParameterError,
     amplification_factor,
-    analytic_eigensystem,
     channels_analytic,
     closed_form_discrepancy,
     closed_form_populations,
@@ -204,7 +205,7 @@ def mp_alpha(params, control, rho44_init=None, digits=50):
         dR = [[zero] * 8 for _ in range(8)]
         T = mpmath.mpf(params.temperature(control))
         rows = []
-        for ch in channels_analytic(params, analytic_eigensystem(params)):
+        for ch in channels_analytic(params):
             w = mpmath.mpf(ch.frequency)
             for i, j, _ in ch.amplitudes:
                 rows.append((ch.reservoir, i, j, w))
@@ -391,6 +392,16 @@ class TestOptimizeLambda:
     def test_rejects_bad_axis(self, fig2_params):
         with pytest.raises(ParameterError):
             optimize_lambda(fig2_params, free=("T_M",))
+
+    @pytest.mark.parametrize("resolution", [2.5, 0, math.nan])
+    def test_rejects_bad_resolution(self, fig2_params, resolution):
+        with pytest.raises(ParameterError, match="resolution"):
+            optimize_lambda(fig2_params, resolution=resolution)
+
+    def test_integral_float_resolution(self, fig2_params):
+        scan = optimize_lambda(fig2_params, resolution=3.0)
+        np.testing.assert_array_equal(scan.alpha_L,
+                                      optimize_lambda(fig2_params, resolution=3).alpha_L)
 
     def test_scan_through_dark_corner(self, dark_params):
         # the lambda1 = 1 endpoint needs the dark-state pin, the interior
