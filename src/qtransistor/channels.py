@@ -9,7 +9,8 @@ and a generic numerical regrouping (decompose_numeric); they must agree
 entrywise.  The closed forms are stated once, as the 24 rows of
 TRANSITIONS evaluated by transition_rows: channels_analytic groups them
 into channels, and the kernel table of dynamics and the Lindblad
-superoperator (through channels_analytic) read the same rows.
+superoperator (through channels_analytic) read the same rows; a row
+carries a rate exactly where its amplitude is nonzero, with no cut-off.
 
 Note the eigenbasis transform of S_nu also contains small raising entries
 at negative Bohr frequencies (counter-rotating admixtures of order
@@ -34,8 +35,8 @@ from .model import (
     min_distinct_bohr_gap,
 )
 
-# matrix elements smaller than this count as zero (double-precision noise
-# in the analytic coefficients)
+# decompose_numeric's floor for the rounding noise of a numerically
+# transformed V^T S V: smaller entries count as zero
 AMPLITUDE_TOL = 1e-12
 
 # default Bohr-frequency grouping tolerance, in units of omega_0
@@ -128,32 +129,32 @@ def transition_amplitudes(cos: np.ndarray, sin: np.ndarray, lambdas: np.ndarray)
     return _SIGN * (F[:, _X] * F[:, _Y]) / _DIVISOR
 
 
-def transition_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(N, 24) arrays omega, a and kept of the (N, 12) input rows x, in TRANSITIONS order.
+def transition_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(N, 24) arrays omega and a of the (N, 12) input rows x, in TRANSITIONS order.
 
     x holds the SystemParams fields in order.  omega is the Bohr frequency
     eps_j - eps_i of row (i, j) from model.closed_forms, a the amplitude
-    <eps_i|S_nu|eps_j> and kept = |a| > AMPLITUDE_TOL, the rows that carry a
-    rate.  The two rows of a channel share omega bit for bit (the same sum
-    or difference of two eigenvalue magnitudes).
+    <eps_i|S_nu|eps_j>; a row carries a rate exactly where a != 0.  The two
+    rows of a channel share omega bit for bit (the same sum or difference
+    of two eigenvalue magnitudes).
     """
     eps, beta = closed_forms(x)
     a = transition_amplitudes(np.cos(beta), np.sin(beta), x[:, 9:12])
-    return eps[:, ROW_J] - eps[:, ROW_I], a, np.abs(a) > AMPLITUDE_TOL
+    return eps[:, ROW_J] - eps[:, ROW_I], a
 
 
 def channels_analytic(params: SystemParams) -> list[DissipationChannel]:
     """All 12 channels of one point, from its transition rows.
 
     Channel c holds rows 2c and 2c + 1; its frequency is their shared
-    omega, and only kept rows enter its amplitudes and operator, so a
-    channel can be empty (possible only at g = 0).
+    omega, and only rows with a nonzero amplitude enter its amplitudes and
+    operator, so a channel can be empty (possible only at g = 0).
     """
-    omega, a, kept = (column[0].tolist() for column in
-                      transition_rows(np.array([astuple(params)], dtype=float)))
+    omega, a = (column[0].tolist() for column in
+                transition_rows(np.array([astuple(params)], dtype=float)))
     channels = []
     for c in range(12):
-        amplitudes = tuple((*TRANSITIONS[r][:2], a[r]) for r in (2 * c, 2 * c + 1) if kept[r])
+        amplitudes = tuple((*TRANSITIONS[r][:2], a[r]) for r in (2 * c, 2 * c + 1) if a[r])
         op = np.zeros((8, 8))
         for i, j, amplitude in amplitudes:
             op[i, j] = amplitude

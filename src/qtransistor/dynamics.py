@@ -23,6 +23,7 @@ density-matrix propagator is kept as an oracle for that claim.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from collections.abc import Callable, Sequence
@@ -71,12 +72,15 @@ def _nbar(z: np.ndarray) -> np.ndarray:
     return np.exp(-z) / -np.expm1(-z)
 
 
+_NBAR_UNDEFINED = "bose_occupation requires omega > 0"
+
+
 def bose_occupation(omega: float, T: float) -> float:
     """Mean photon number 1 / (exp(omega/T) - 1), by _nbar."""
-    if omega <= 0:
-        raise ParameterError("bose_occupation requires omega > 0")
-    if T <= 0:
-        raise ParameterError("bose_occupation requires T > 0")
+    if not omega > 0:  # also rejects nan
+        raise ParameterError(_NBAR_UNDEFINED)
+    if not 0 < T < math.inf:
+        raise ParameterError("bose_occupation requires a finite T > 0")
     return float(_nbar(np.array([omega / T]))[0])
 
 
@@ -113,11 +117,10 @@ def _pins(rho44_init: Sequence[float | None]) -> tuple[np.ndarray, np.ndarray]:
 class _Table(NamedTuple):
     """Transition table of N points: (N, 24) arrays, rows as channels.TRANSITIONS.
 
-    omega is the Bohr frequency eps_j - eps_i of row (i, j), rate = gamma a^2
-    (0 on the rows channels.transition_rows does not keep), T and nbar the
-    temperature and Bose occupation of the row's reservoir at omega (nbar
-    0 on rows not kept, and where it is undefined).  down = rate (nbar + 1) and up = rate nbar are
-    the transfer rates j -> i and i -> j.
+    omega is the Bohr frequency eps_j - eps_i of row (i, j), rate = gamma a^2,
+    T and nbar the temperature and Bose occupation of the row's reservoir at
+    omega (nbar 0 on rows with a = 0, and where it is undefined).  down =
+    rate (nbar + 1) and up = rate nbar are the transfer rates j -> i and i -> j.
     """
 
     omega: np.ndarray
@@ -128,58 +131,49 @@ class _Table(NamedTuple):
     up: np.ndarray
 
 
-_NBAR_UNDEFINED = "bose_occupation requires omega > 0"
-
-
-# the last single-point table built: (x.tobytes() of its input, (table,
-# undefined)), always replaced whole, so a reader sees a complete entry or none
-_last_table: tuple[bytes, tuple[_Table, np.ndarray]] | None = None
-
-
 def _table(x: np.ndarray) -> tuple[_Table, np.ndarray]:
     """Transition table of the input rows x, and where it is undefined.
 
     The rows come from channels.transition_rows and the occupations from
     _nbar, which bose_occupation calls on one value.  The second result
-    flags the points with a kept row at omega <= 0, where nbar does not
-    exist (bose_occupation raises there); temperatures are positive by
-    SystemParams' own checks.  nbar is built C-ordered on purpose: omega
-    and T, gathered along axis 1, are F-ordered, and an F-ordered nbar
-    would make down, up and the row heats F-ordered too, so that
-    `_currents` would add a reservoir's 8 rows one after another instead
-    of pairwise, and a batch's currents would differ from those of its
-    points solved one by one in the last bits.
-
-    The result depends on nothing but the values in x, so the last
-    single-point one (only single points are asked for twice in a row:
-    steady_state then heat_currents) is kept and returned again, read-only,
-    while x holds the same bytes: a repeated call gets exactly what a
-    rebuild would give.
+    flags the points with a row of nonzero amplitude at omega <= 0, where
+    nbar does not exist (bose_occupation raises there); temperatures are
+    positive by SystemParams' own checks.  nbar is built C-ordered on
+    purpose: omega and T, gathered along axis 1, are F-ordered, and an
+    F-ordered nbar would make down, up and the row heats F-ordered too, so
+    that `_currents` would add a reservoir's 8 rows one after another
+    instead of pairwise, and a batch's currents would differ from those of
+    its points solved one by one in the last bits.
     """
-    global _last_table
-    key = x.tobytes() if len(x) == 1 else None
-    last = _last_table
-    if last is not None and last[0] == key:
-        return last[1]
-    omega, a, kept = transition_rows(x)
+    omega, a = transition_rows(x)
     T = x[:, _T_COLUMN]
-    rate = np.where(kept, x[:, _GAMMA_COLUMN] * a * a, 0.0)
-    defined = kept & (omega > 0.0)
+    rate = x[:, _GAMMA_COLUMN] * a * a
+    coupled = a != 0.0
+    defined = coupled & (omega > 0.0)
     z = np.full(omega.shape, np.inf)  # C-ordered, see above
     np.divide(omega, T, out=z, where=defined)
     nbar = _nbar(z)
-    result = (_Table(omega, rate, T, nbar, rate * (nbar + 1.0), rate * nbar),
-              (kept & ~defined).any(axis=1))
+    return (_Table(omega, rate, T, nbar, rate * (nbar + 1.0), rate * nbar),
+            (coupled & ~defined).any(axis=1))
+
+
+@functools.lru_cache(maxsize=1)
+def _cached_table(params: SystemParams) -> tuple[_Table, np.ndarray]:
+    """`_table` of one point, read-only, kept for the next call with equal params.
+
+    Only single points are asked for twice in a row (steady_state, then
+    heat_currents), so one entry serves; a table depends on nothing but the
+    values of params, so a hit returns exactly what a rebuild would.
+    """
+    result = _table(_inputs([params]))
     for array in (*result[0], result[1]):
         array.flags.writeable = False
-    if key is not None:
-        _last_table = (key, result)
     return result
 
 
 def _point_table(params: SystemParams) -> _Table:
     """The N = 1 table of one point; raises where nbar is undefined."""
-    t, undefined = _table(_inputs([params]))
+    t, undefined = _cached_table(params)
     if undefined[0]:
         raise ParameterError(_NBAR_UNDEFINED)
     return t
@@ -345,20 +339,20 @@ class _Steady(NamedTuple):
     stationary: np.ndarray  # (M, 8) `_gth`'s stationary vectors, before any dark pin
 
 
-def _steady(x: np.ndarray, pinned: np.ndarray, rho44: np.ndarray) -> _Steady:
-    """Steady states of the N input rows x by one GTH pass over their generators.
+def _steady(t: _Table, undefined: np.ndarray, dark: np.ndarray, pinned: np.ndarray,
+            rho44: np.ndarray) -> _Steady:
+    """Steady states of N points by one GTH pass, from `_table`'s results t and undefined.
 
-    pinned[n] says whether point n has a dark-state pin, rho44[n] its value
-    (0 where it has none).  A dark state, which has no rates, is drained
-    3 -> 0 at unit rate, as steady_state describes.  Where every point is
-    solved and none is pinned, `_gth`'s results are the populations: the
-    pins would scale them by 1 - 0 and add 0, which changes no bit.
+    dark[n] says whether point n has fully common coupling, pinned[n]
+    whether it has a dark-state pin and rho44[n] its value (0 where none).
+    A dark state, which has no rates, is drained 3 -> 0 at unit rate, as
+    steady_state describes.  Where every point is solved and none is pinned,
+    `_gth`'s results are the populations: the pins would scale them by
+    1 - 0 and add 0, which changes no bit.
     """
-    n_points = len(x)
+    n_points = len(dark)
     failures = _Failures(n_points)
-    t, undefined = _table(x)
     W = _rates(t.down, t.up)
-    dark = _dark(x)
     if dark.any() or pinned.any():  # else no pin to check and no dark state to drain
         failures.record(dark & ~pinned, UnderdeterminedError,
                         "fully common coupling leaves the dark-state population free; "
@@ -454,7 +448,7 @@ def _solve(
     """
     if control is not None and control not in RESERVOIRS:
         raise ParameterError("control terminal must be one of 'L', 'M', 'R'")
-    t, p, failures, solved, factors, stationary = _steady(x, pinned, rho44)
+    t, p, failures, solved, factors, stationary = _steady(*_table(x), _dark(x), pinned, rho44)
     currents, residual = _heat(t, p)
 
     alpha = np.full((len(p), 2), np.nan)
@@ -498,7 +492,8 @@ def steady_state(params: SystemParams, rho44_init: float | None = None) -> np.nd
     empty, the other seven states are scaled to 1 - rho44_init and state 3
     gets rho44_init.  This is the first stage of `solve` for one point.
     """
-    steady = _steady(_inputs([params]), *_pins([rho44_init]))
+    steady = _steady(*_cached_table(params), np.array([params.fully_common]),
+                     *_pins([rho44_init]))
     _raise_first(steady.failures.errors)
     return steady.populations[0]
 
@@ -507,15 +502,16 @@ def _check_populations(p: np.ndarray) -> np.ndarray:
     p = np.asarray(p, dtype=float)
     if p.shape != (8,):
         raise ParameterError("population vector must have 8 components")
-    if p.min() < -1e-10 or abs(p.sum() - 1.0) > 1e-8:
+    if not (p.min() >= -1e-10 and abs(p.sum() - 1.0) <= 1e-8):
         raise ParameterError("population vector must be non-negative and sum to 1")
     return p
 
 
 def _check_times(t_grid: np.ndarray) -> np.ndarray:
     t_grid = np.asarray(t_grid, dtype=float)
-    if t_grid.ndim != 1 or t_grid.size == 0 or np.any(np.diff(t_grid) <= 0):
-        raise ParameterError("t_grid must be a strictly increasing 1-d array")
+    if not (t_grid.ndim == 1 and t_grid.size and np.all(np.abs(t_grid) < math.inf)
+            and np.all(np.diff(t_grid) > 0)):
+        raise ParameterError("t_grid must be a strictly increasing 1-d array of finite times")
     return t_grid
 
 
@@ -592,6 +588,8 @@ def _check_density_matrix(rho: np.ndarray) -> np.ndarray:
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (8, 8):
         raise ParameterError("density matrix must be 8x8")
+    if not np.all(np.abs(rho) < math.inf):  # also rejects nan
+        raise ParameterError("density matrix entries must be finite")
     if np.max(np.abs(rho - rho.conj().T)) > 1e-10:
         raise ParameterError("density matrix must be Hermitian")
     if abs(np.trace(rho).real - 1.0) > 1e-8 or abs(np.trace(rho).imag) > 1e-10:
@@ -646,7 +644,7 @@ class DriveSpec:
             raise ParameterError(f"drive duration delta_t = {self.delta_t} "
                                  "must be non-negative and finite")
         a, b = self.pair
-        if not (0 <= a < 8 and 0 <= b < 8 and a != b):
+        if not (a != b and all(isinstance(k, (int, np.integer)) and 0 <= k < 8 for k in (a, b))):
             raise ParameterError("driven pair must be two distinct indices in 0..7")
 
 

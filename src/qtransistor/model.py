@@ -178,10 +178,10 @@ def mixing_angle(omega_i: float, g: float) -> float:
     for the degenerate doublet), where the formula would lose g^2 to
     underflow for tiny g.  Otherwise the decoupled limit g = 0 returns 0.
     """
-    if omega_i < 0:
-        raise ParameterError("omega_i must be non-negative")
-    if g < 0:
-        raise ParameterError("g must be non-negative")
+    if not 0 <= omega_i < math.inf:
+        raise ParameterError("omega_i must be non-negative and finite")
+    if not 0 <= g < math.inf:
+        raise ParameterError("g must be non-negative and finite")
     if omega_i == 0.0:
         return 0.25 * math.pi
     if g == 0.0:

@@ -62,3 +62,16 @@ def random_params(rng: np.random.Generator, lambdas=None) -> SystemParams:
         lambda2=float(lambdas[1]),
         lambda3=float(lambdas[2]),
     )
+
+
+# The approach to the dark state as its own draw family: lambda1 = lambda2 =
+# lambda3 = 1 - 10^-u, up to u = 15.9, which rounds to 1 - 2^-53, the last
+# double below 1.  Drawn at fig2's base point and at a cold point.
+DARK_CROSSOVER_U = (11, 12, 13, 14, 15, 15.9)
+COLD = {"T_L": 1.0, "T_M": 0.05, "T_R": 0.05}
+
+
+def near_dark(params: SystemParams, u: float) -> SystemParams:
+    """params with lambda1 = lambda2 = lambda3 = 1 - 10^-u."""
+    lam = 1.0 - 10.0 ** -u
+    return params.replace(lambda1=lam, lambda2=lam, lambda3=lam)

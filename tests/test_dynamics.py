@@ -27,6 +27,7 @@ from qtransistor import (
     evolve_density_matrix,
     evolve_populations,
     jump_operators,
+    mixing_angle,
     rate_matrix,
     steady_state,
 )
@@ -35,7 +36,7 @@ from qtransistor import dynamics, heat_currents
 from qtransistor.channels import ROW_RESERVOIR, channels_analytic
 from qtransistor.dynamics import relaxation_horizon, slowest_relaxation_rate, solve
 
-from conftest import random_params
+from conftest import COLD, DARK_CROSSOVER_U, near_dark, random_params
 
 
 def eq13_rate_matrix(params):
@@ -167,6 +168,30 @@ class TestRateMatrix:
             rate_matrix(params), eq13_rate_matrix(params), rtol=1e-12, atol=1e-20)
 
 
+def without_outflow(params):
+    """params at gamma = 1e-300 and lambda = 1 - 2^-53: every rate of state 3,
+    gamma (1 - lambda)^2 cos(beta)^2 / 2 ~ 1e-333, underflows to 0, so
+    nothing leaves it."""
+    lam = 1.0 - 2.0 ** -53
+    return params.replace(gamma_L=1e-300, gamma_M=1e-300, gamma_R=1e-300,
+                          lambda1=lam, lambda2=lam, lambda3=lam)
+
+
+def dark_limit(params):
+    """rho44 as lambda1 = lambda2 = lambda3 -> 1 from below, by the 50-digit GTH.
+
+    The rows of state 3 have amplitudes (1 - lambda) cos(beta) / sqrt(2), and
+    cos(beta) does not depend on lambda, so its rates are (1 - lambda)^2 K,
+    with K = 4 W(lambda = 1/2) exactly (halving 1 - lambda quarters a rate).
+    The other rows tend to those of W(1).  The limit is the steady state of
+    W(1) + eps K as eps -> 0+; eps = 1e-40 moves it by O(eps).
+    """
+    W = rate_matrix(params.replace(lambda1=1.0, lambda2=1.0, lambda3=1.0))
+    K = 4.0 * rate_matrix(params.replace(lambda1=0.5, lambda2=0.5, lambda3=0.5))
+    W[3], W[:, 3] = 1e-40 * K[3], 1e-40 * K[:, 3]
+    return mp_steady_state(W, digits=80)[3]
+
+
 class TestSteadyState:
     def test_gibbs_at_equal_temperatures(self, fig2_params):
         T = 1.3
@@ -202,10 +227,7 @@ class TestSteadyState:
         assert q.Q_L == q.Q_M == q.Q_R == 0.0
 
     def test_state_without_outflow_raises(self, fig2_params):
-        # 1 - lambda = 1e-13 puts every amplitude of state 3 below the
-        # channel amplitude cut-off, so nothing leaves it
-        lam = 1.0 - 1e-13
-        params = fig2_params.replace(lambda1=lam, lambda2=lam, lambda3=lam)
+        params = without_outflow(fig2_params)
         assert np.all(rate_matrix(params)[:, 3] == 0.0)
         with pytest.raises(SteadyStateError, match="no outflow"):
             steady_state(params)
@@ -230,12 +252,34 @@ class TestSteadyState:
         assert ref.min() < 1e-29
         np.testing.assert_allclose(steady_state(cold), ref, rtol=POPULATION_RTOL, atol=0)
 
-    @pytest.mark.parametrize("u", [2, 5, 8])
+    @pytest.mark.parametrize("u", [2, 5, 8, *DARK_CROSSOVER_U])
     def test_near_dark_state_is_unique(self, fig2_params, u):
-        lam = 1.0 - 10.0 ** -u
-        params = fig2_params.replace(lambda1=lam, lambda2=lam, lambda3=lam)
+        # the rates of state 3 fall as 10^-2u, to 1e-32 of the others at
+        # u = 15.9, and nothing cuts them off: every point solves
+        params = near_dark(fig2_params, u)
         ref = mp_steady_state(rate_matrix(params))
         np.testing.assert_allclose(steady_state(params), ref, rtol=POPULATION_RTOL, atol=0)
+
+    @pytest.mark.parametrize("u", DARK_CROSSOVER_U)
+    def test_near_dark_cold_state(self, fig2_params, u):
+        params = near_dark(fig2_params.replace(**COLD), u)
+        ref = mp_steady_state(rate_matrix(params))
+        np.testing.assert_allclose(steady_state(params), ref, rtol=POPULATION_RTOL, atol=0)
+
+    @pytest.mark.parametrize("cold", [False, True], ids=["fig2", "cold"])
+    def test_rho44_runs_into_its_dark_limit(self, fig2_params, cold):
+        # rho44 = lim (1 + s (1 - lambda)) to first order: the other rows carry
+        # (1 + lambda) weights.  The slope s comes from the 50-digit reference
+        # at 1 - lambda = 1e-8, where its second-order error is ~1e-8 s; below
+        # that the linear term is all the kernel must reproduce to 32 ulps
+        base = fig2_params.replace(**COLD) if cold else fig2_params
+        lim = dark_limit(base)
+        steep = near_dark(base, 8)
+        s = (mp_steady_state(rate_matrix(steep))[3] / lim - 1.0) / (1.0 - steep.lambda1)
+        for u in DARK_CROSSOVER_U:
+            params = near_dark(base, u)
+            expected = lim * (1.0 + s * (1.0 - params.lambda1))
+            assert steady_state(params)[3] == pytest.approx(expected, rel=POPULATION_RTOL, abs=0)
 
     def test_dark_pinned_relative_accuracy(self, dark_params):
         ref = mp_steady_state(rate_matrix(dark_params), rho44_init=0.3)
@@ -318,9 +362,7 @@ class TestBatchedKernel:
                 assert got[n].tobytes() == expected[0].tobytes()
 
     def test_failed_points_do_not_disturb_the_batch(self, fig2_params, dark_params):
-        lam = 1.0 - 1e-13  # every amplitude of state 3 is cut: no outflow
-        points = [fig2_params, dark_params, fig2_params.replace(lambda1=lam, lambda2=lam,
-                                                                lambda3=lam),
+        points = [fig2_params, dark_params, without_outflow(fig2_params),
                   fig2_params, dark_params, fig2_params.replace(T_M=0.001)]
         pins = [None, None, None, 0.3, 1.5, None]
         sol = solve(points, pins, control="M")
@@ -339,11 +381,10 @@ class TestBatchedKernel:
         # the lit ones alone also its no-pin path; interleaved with the five
         # failing kinds above they are copied out and pinned: every number of
         # theirs must come out the same, bit for bit
-        lam = 1.0 - 1e-13
         ok = [fig2_params, dark_params, fig2_params.replace(T_L=1.0, T_M=0.05, T_R=0.05),
               fig2_params.replace(T_M=2.0)]
         ok_pins = [None, 0.3, None, None]
-        failing = [dark_params, fig2_params.replace(lambda1=lam, lambda2=lam, lambda3=lam),
+        failing = [dark_params, without_outflow(fig2_params),
                    fig2_params, dark_params, fig2_params.replace(T_M=0.001)]
         failing_pins = [None, None, 0.3, 1.5, None]
         mixed = solve([x for pair in zip(failing, ok) for x in pair] + failing[4:],
@@ -378,7 +419,7 @@ class TestBatchedKernel:
 
 def fresh(call, *args, **kwargs):
     """call(*args) with no transition table kept from an earlier call."""
-    dynamics._last_table = None
+    dynamics._cached_table.cache_clear()
     return call(*args, **kwargs)
 
 
@@ -391,7 +432,7 @@ def query(params, rho44_init=None):
 
 @pytest.fixture
 def table_builds(monkeypatch):
-    """Counts the transition tables built from scratch (memo misses)."""
+    """Counts the transition tables built from scratch, from an empty memo."""
     builds = []
     rows = dynamics.transition_rows
 
@@ -400,7 +441,7 @@ def table_builds(monkeypatch):
         return rows(*args)
 
     monkeypatch.setattr(dynamics, "transition_rows", counted)
-    monkeypatch.setattr(dynamics, "_last_table", None)
+    dynamics._cached_table.cache_clear()
     return builds
 
 
@@ -424,26 +465,37 @@ class TestTableMemo:
         assert W.tobytes() == scalar_rate_matrix(nudged).tobytes()
 
     def test_hit_returns_the_stored_table(self, fig2_params, table_builds):
-        x = dynamics._inputs([fig2_params])
-        first = dynamics._table(x)
-        again = dynamics._table(x.copy())
+        first = dynamics._cached_table(fig2_params)
+        again = dynamics._cached_table(fig2_params.replace())  # equal, not the same object
         assert again is first and len(table_builds) == 1
         p = steady_state(fig2_params)
         heat_currents(fig2_params, p)
         assert len(table_builds) == 1
 
     def test_kept_arrays_are_read_only(self, fig2_params):
-        table, undefined = dynamics._table(dynamics._inputs([fig2_params]))
+        table, undefined = dynamics._cached_table(fig2_params)
         for array in (*table, undefined):
             with pytest.raises(ValueError, match="read-only"):
                 array[...] = 0
 
     def test_batch_leaves_the_kept_table(self, fig2_params, dark_params, table_builds):
-        kept = dynamics._table(dynamics._inputs([fig2_params]))
-        entry = dynamics._last_table
+        kept = dynamics._cached_table(fig2_params)
         solve([fig2_params, dark_params], [None, 0.3])
-        assert dynamics._last_table is entry and len(table_builds) == 2
-        assert dynamics._table(dynamics._inputs([fig2_params])) is kept
+        solve([dark_params], [0.3])
+        assert len(table_builds) == 3
+        assert dynamics._cached_table(fig2_params) is kept and len(table_builds) == 3
+
+    def test_signed_zero_g_shares_the_entry_and_its_table(self, fig2_params):
+        # g = -0.0 passes SystemParams and equals g = 0.0, so both hit one memo
+        # entry: their tables must be the same bytes
+        plus, minus = fig2_params.replace(g=0.0), fig2_params.replace(g=-0.0)
+        (t_plus, u_plus), (t_minus, u_minus) = (dynamics._table(dynamics._inputs([x]))
+                                                for x in (plus, minus))
+        for a, b in zip((*t_plus, u_plus), (*t_minus, u_minus)):
+            assert a.tobytes() == b.tobytes()
+        assert fresh(dynamics._cached_table, minus) is dynamics._cached_table(plus)
+        for got, expected in zip(fresh(query, minus), fresh(query, plus)):
+            assert got.tobytes() == expected.tobytes()
 
     def test_undefined_nbar_leaves_the_next_call_correct(self, fig2_params):
         expected = fresh(query, fig2_params)
@@ -644,3 +696,36 @@ class TestApplyDrive:
     def test_drive_spec_rejects_non_finite(self, Omega, delta_t, field):
         with pytest.raises(ParameterError, match=f"{field} = .* finite"):
             DriveSpec(Omega=Omega, delta_t=delta_t)
+
+
+# oracle-path inputs that a comparison test alone let through: nan and inf
+# times never reached the horizon, and nan populations, density matrices,
+# frequencies and temperatures came back as nan or an untyped LinAlgError
+BAD_ORACLE_INPUTS = {
+    "populations-nan-time": lambda x: evolve_populations(x, np.eye(8)[0], [0.0, math.nan]),
+    "populations-inf-time": lambda x: evolve_populations(x, np.eye(8)[0], [0.0, math.inf]),
+    "density-nan-time": lambda x: evolve_density_matrix(x, np.diag(np.eye(8)[0]),
+                                                        [0.0, math.nan]),
+    "density-inf-time": lambda x: evolve_density_matrix(x, np.diag(np.eye(8)[0]),
+                                                        [0.0, math.inf]),
+    "nan-time-only": lambda x: evolve_populations(x, np.eye(8)[0], [math.nan]),
+    "two-inf-times": lambda x: evolve_populations(x, np.eye(8)[0], [0.0, math.inf, math.inf]),
+    "nan-populations": lambda x: apply_drive(np.full(8, math.nan), DriveSpec(1.0, 0.1)),
+    "nan-density-matrix": lambda x: apply_drive(np.full((8, 8), math.nan), DriveSpec(1.0, 0.1)),
+    "inf-density-matrix": lambda x: apply_drive(np.diag([math.inf] + [0.0] * 7),
+                                                DriveSpec(1.0, 0.1)),
+    "nan-omega": lambda x: bose_occupation(math.nan, 1.0),
+    "nan-T": lambda x: bose_occupation(1.0, math.nan),
+    "inf-T": lambda x: bose_occupation(1.0, math.inf),
+    "nan-omega_i": lambda x: mixing_angle(math.nan, 0.1),
+    "nan-g": lambda x: mixing_angle(1.0, math.nan),
+    "inf-g": lambda x: mixing_angle(1.0, math.inf),
+    "fractional-pair": lambda x: DriveSpec(1.0, 0.1, (3.5, 7)),
+    "float-pair": lambda x: DriveSpec(1.0, 0.1, (3.0, 7)),
+}
+
+
+@pytest.mark.parametrize("call", BAD_ORACLE_INPUTS.values(), ids=BAD_ORACLE_INPUTS.keys())
+def test_non_finite_oracle_inputs_raise(fig2_params, call):
+    with pytest.raises(ParameterError):
+        call(fig2_params)

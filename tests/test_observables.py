@@ -18,7 +18,7 @@ from qtransistor import (
     steady_state,
 )
 
-from conftest import random_params
+from conftest import DARK_CROSSOVER_U, random_params
 
 
 def central_difference_alpha_L(params, control, dT):
@@ -268,7 +268,11 @@ def assert_alpha_matches_mp(params, rho44_init=None):
     free = [k for k in range(8) if rho44_init is None or k != 3]
     A = rate_matrix(params)[np.ix_(free, free)]
     A[np.argmax(steady_state(params, rho44_init)[free])] = 1.0
-    skeel = np.max(np.sum(np.abs(np.linalg.inv(A)) @ np.abs(A), axis=1))
+    # in 50 digits: where cond_2(A) passes 1/eps a double inverse turns it
+    # into noise (1.1e14 for a true 44.3 at the cold point at lambda = 1 - 2^-53)
+    with mpmath.workdps(50):
+        M = mpmath.matrix(A.tolist())
+        skeel = float(mpmath.mnorm((M ** -1).apply(abs) * M.apply(abs), "inf"))
     terms = 8 * np.finfo(float).eps * np.array([c_L + c_M, c_R + c_M])
     bound, cond_2_bound = skeel * terms, np.linalg.cond(A) * terms
     error = np.abs(np.array([res.alpha_L, res.alpha_R]) - ref) / np.abs(ref)
@@ -289,7 +293,7 @@ class TestAlphaOracle:
         # dQ_L and dQ_R hardly cancel: the direct sum kept ~3 digits of alpha
         assert_alpha_matches_mp(fig2_params.replace(T_L=1.0, T_M=0.05, T_R=0.05))
 
-    @pytest.mark.parametrize("u", [1, 2, 4, 6, 8])
+    @pytest.mark.parametrize("u", [1, 2, 4, 6, 8, *DARK_CROSSOVER_U])
     def test_near_dark_fig2(self, fig2_params, u):
         # lambda = 1 - 10^-u: the dark state's rates fall as 10^-2u and cond_2(A)
         # grows as 10^2u, but cond_S(A) stays near 38, so for every u the
@@ -297,7 +301,7 @@ class TestAlphaOracle:
         lam = 1.0 - 10.0 ** -u
         assert_alpha_matches_mp(fig2_params.replace(lambda1=lam, lambda2=lam, lambda3=lam))
 
-    @pytest.mark.parametrize("u", [2, 5, 8])
+    @pytest.mark.parametrize("u", [2, 5, 8, *DARK_CROSSOVER_U])
     def test_near_dark_cold_fig2(self, fig2_params, u):
         lam = 1.0 - 10.0 ** -u
         assert_alpha_matches_mp(fig2_params.replace(T_L=1.0, T_M=0.05, T_R=0.05, lambda1=lam,
