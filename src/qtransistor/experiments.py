@@ -13,8 +13,8 @@ returns the sweep as columns (SweepResult: grid values, input rows, pins,
 the kernel's Solution and the secular-pass column of
 model.secular_checks), and sweep_rows formats each CSV row straight from
 them with one row format, CELL_FORMAT per number and blanks for the
-numbers a point lacks.  write_lines writes all text, to a file or
-stdout.  Every output row carries the resolved inputs needed to
+numbers a point lacks.  write_lines writes all text, to stdout or in
+place over a file.  Every output row carries the resolved inputs needed to
 reproduce it, numbers are written with 17 significant digits and no
 timestamps enter the data, so identical configs yield bit-identical
 files.
@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 import os
+import stat
 import sys
 from collections.abc import Mapping
 from dataclasses import MISSING, dataclass, fields
@@ -85,14 +86,31 @@ def fmt(value: float) -> str:
     return CELL_FORMAT % value
 
 
+# no O_TRUNC: see write_lines
+_OPEN_FLAGS = os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0)
+
+
 def write_lines(lines: list[str], path: str | None) -> None:
-    """Write the lines, each ending in a newline, to path (stdout when None)."""
+    """Write the lines, each ending in a newline, to path (stdout when None).
+
+    An existing file is overwritten in place and then cut to the written
+    length, never truncated to zero first: when a file that held data was
+    truncated to zero, ext4 (auto_da_alloc) starts writing its new blocks
+    back at close, which makes rewriting a file cost several times as much
+    as writing it in place.  A new file gets mode 0o666 & ~umask, as with
+    open(path, "w").  Only regular files are cut; a device such as
+    /dev/null or a pipe is written as it is.  Nothing is fsynced.  A write
+    that fails partway raises OSError, but the file may then hold the new
+    rows followed by old bytes.
+    """
     text = "\n".join(lines) + "\n"
     if path is None:
         sys.stdout.write(text)
-    else:
-        with open(path, "w") as fh:
-            fh.write(text)
+        return
+    with open(os.open(path, _OPEN_FLAGS, 0o666), "w") as fh:
+        fh.write(text)
+        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+            fh.truncate()
 
 
 @dataclass(frozen=True)

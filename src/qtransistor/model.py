@@ -69,6 +69,10 @@ class SystemParams:
             v = getattr(self, name)
             if not 0 < v < inf:
                 raise ParameterError(f"{name} = {v} must be positive and finite")
+        # stored as floats: a numpy 0-d array passes the checks above but
+        # cannot be hashed, and dynamics keys its table memo by the params
+        for name in FIELD_NAMES:
+            object.__setattr__(self, name, float(getattr(self, name)))
 
     @property
     def omega_R(self) -> float:

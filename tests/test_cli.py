@@ -1,3 +1,6 @@
+import os
+import stat
+
 import numpy as np
 import pytest
 
@@ -30,6 +33,44 @@ def test_sweep_deterministic_across_runs(tmp_path):
     for path in (a, b):
         assert main(["sweep", "--config", "fig9a", "--out", str(path)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_rerun_over_a_longer_file_leaves_no_old_bytes(tmp_path):
+    # an existing output is overwritten in place, then cut to length
+    out, fresh = tmp_path / "re.csv", tmp_path / "fresh.csv"
+    for points, path in (("5", out), ("2", out), ("2", fresh)):
+        assert main(["sweep", "--config", "fig9a", "--points", points, "--out", str(path)]) == 0
+    assert out.read_bytes() == fresh.read_bytes()
+
+
+def test_trajectory_rerun_leaves_no_old_bytes(tmp_path):
+    out, fresh = tmp_path / "traj.csv", tmp_path / "fresh.csv"
+    assert main(["modulate", "--config", "fig8", "--trajectory-out", str(fresh)]) == 0
+    out.write_bytes(fresh.read_bytes() + b"1.0,1.0\n" * 50)  # an earlier, longer file
+    assert main(["modulate", "--config", "fig8", "--trajectory-out", str(out)]) == 0
+    assert out.read_bytes() == fresh.read_bytes()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/null"), reason="no /dev/null")
+def test_out_to_a_device(capsys):
+    # a character device cannot be cut to length, and need not be
+    assert main(["sweep", "--config", "fig9a", "--points", "2", "--out", "/dev/null"]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_new_file_mode_follows_the_umask(tmp_path):
+    out = tmp_path / "new.csv"
+    old = os.umask(0o027)
+    try:
+        assert main(["sweep", "--config", "fig9a", "--points", "2", "--out", str(out)]) == 0
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE(out.stat().st_mode) == 0o666 & ~0o027
+
+
+def test_out_naming_a_directory_exit_code(tmp_path, capsys):
+    assert main(["sweep", "--config", "fig9a", "--points", "2", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_sweep_stdout(capsys):

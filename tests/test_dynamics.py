@@ -497,6 +497,15 @@ class TestTableMemo:
         for got, expected in zip(fresh(query, minus), fresh(query, plus)):
             assert got.tobytes() == expected.tobytes()
 
+    def test_numpy_scalar_field_solves_as_its_float(self, fig2_params):
+        # a 0-d array passes SystemParams' checks; stored as a float, it keys
+        # the memo and solves as the float-field point does
+        point = fig2_params.replace(omega_L=np.array(fig2_params.omega_L))
+        assert type(point.omega_L) is float
+        for got, expected in zip(fresh(query, point), fresh(query, fig2_params)):
+            assert got.tobytes() == expected.tobytes()
+        assert fresh(rate_matrix, point).tobytes() == fresh(rate_matrix, fig2_params).tobytes()
+
     def test_undefined_nbar_leaves_the_next_call_correct(self, fig2_params):
         expected = fresh(query, fig2_params)
         bad = fig2_params.replace(omega_M=30.0)  # omega_M > omega_L: a row at omega < 0

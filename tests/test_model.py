@@ -66,6 +66,12 @@ class TestSystemParams:
         with pytest.raises(ParameterError, match=field):
             fig2_params.replace(**{field: value})
 
+    @pytest.mark.parametrize("value", ["30", None])
+    @pytest.mark.parametrize("field", ["omega_L", "g", "lambda1"])
+    def test_non_numbers_raise_type_error(self, fig2_params, field, value):
+        with pytest.raises(TypeError, match="not supported between instances"):
+            fig2_params.replace(**{field: value})
+
 
 EDGE_VALUES = (0.0, -0.0, 1.0, np.nextafter(1.0, 2.0), -1.0, math.inf, -math.inf, math.nan)
 

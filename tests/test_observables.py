@@ -268,16 +268,20 @@ def assert_alpha_matches_mp(params, rho44_init=None):
     free = [k for k in range(8) if rho44_init is None or k != 3]
     A = rate_matrix(params)[np.ix_(free, free)]
     A[np.argmax(steady_state(params, rho44_init)[free])] = 1.0
-    # in 50 digits: where cond_2(A) passes 1/eps a double inverse turns it
-    # into noise (1.1e14 for a true 44.3 at the cold point at lambda = 1 - 2^-53)
+    # both conditions in 50 digits: where cond_2(A) passes 1/eps a double
+    # inverse or SVD turns either into noise (cond_S 1.1e14 for a true 44.3
+    # at the cold point at lambda = 1 - 2^-53; cond_2 4e18 to 1e20 in double
+    # for a true 1e25 to 1e35 at the near-dark points)
     with mpmath.workdps(50):
         M = mpmath.matrix(A.tolist())
         skeel = float(mpmath.mnorm((M ** -1).apply(abs) * M.apply(abs), "inf"))
+        sigma = mpmath.svd_r(M, compute_uv=False)
+        cond_2 = float(max(sigma) / min(sigma))
     terms = 8 * np.finfo(float).eps * np.array([c_L + c_M, c_R + c_M])
-    bound, cond_2_bound = skeel * terms, np.linalg.cond(A) * terms
+    bound, cond_2_bound = skeel * terms, cond_2 * terms
     error = np.abs(np.array([res.alpha_L, res.alpha_R]) - ref) / np.abs(ref)
     print(f"alpha error {error}, bound {bound} by cond_S = {skeel:.4g}, "
-          f"{cond_2_bound} by cond_2")
+          f"{cond_2_bound} by cond_2 = {cond_2:.4g}")
     assert np.all(bound <= cond_2_bound), (bound, cond_2_bound)
     assert np.all(error <= bound), (error, bound)
 
