@@ -138,12 +138,9 @@ def _table(x: np.ndarray) -> tuple[_Table, np.ndarray]:
     _nbar, which bose_occupation calls on one value.  The second result
     flags the points with a row of nonzero amplitude at omega <= 0, where
     nbar does not exist (bose_occupation raises there); temperatures are
-    positive by SystemParams' own checks.  nbar is built C-ordered on
-    purpose: omega and T, gathered along axis 1, are F-ordered, and an
-    F-ordered nbar would make down, up and the row heats F-ordered too, so
-    that `_currents` would add a reservoir's 8 rows one after another
-    instead of pairwise, and a batch's currents would differ from those of
-    its points solved one by one in the last bits.
+    positive by SystemParams' own checks.  omega and T, gathered along
+    axis 1, are F-ordered and nbar is C-ordered; the current sums do not
+    depend on that, as `_row_heat` makes its product C-ordered.
     """
     omega, a = transition_rows(x)
     T = x[:, _T_COLUMN]
@@ -195,9 +192,12 @@ def _flow(down: np.ndarray, up: np.ndarray, p: np.ndarray) -> np.ndarray:
 def _row_heat(t: _Table, flow: np.ndarray) -> np.ndarray:
     """(N, 3, 8) heat omega * flow each row delivers, grouped by reservoir.
 
-    channels.TRANSITIONS lists the 8 rows of L, then of M, then of R.
+    channels.TRANSITIONS lists the 8 rows of L, then of M, then of R.  The
+    product is made C-ordered whatever the layout of omega and flow, so a
+    sum over the last axis adds a reservoir's 8 rows pairwise, in one
+    order for a batch and for each of its points alone.
     """
-    return (t.omega * flow).reshape(-1, 3, 8)
+    return np.multiply(t.omega, flow, order="C").reshape(-1, 3, 8)
 
 
 def _currents(t: _Table, flow: np.ndarray) -> np.ndarray:
@@ -206,14 +206,19 @@ def _currents(t: _Table, flow: np.ndarray) -> np.ndarray:
 
 
 def _rate_of_change(flow: np.ndarray) -> np.ndarray:
-    """(N, 8) W p from the row flows: each flows out of state i into state j."""
-    return flow @ _INCIDENCE
+    """(N, 8) W p from the row flows: each flows out of state i into state j.
+
+    A stack of N (1, 24) x (24, 8) products, so each point's sums are made
+    by one product of fixed shape: an (N, 24) x (24, 8) product would go to
+    BLAS as one, whose summation order changes with N.
+    """
+    return (flow[:, None, :] @ _INCIDENCE)[:, 0]
 
 
 def _heat(t: _Table, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(N, 3) heat currents of populations p (N, 8) on table t, and (N,) their max|W p|."""
     flow = _flow(t.down, t.up, p)
-    return _currents(t, flow), np.max(np.abs(_rate_of_change(flow)), axis=1)
+    return _currents(t, flow), np.abs(_rate_of_change(flow)).max(axis=1)
 
 
 def rate_matrix(params: SystemParams) -> np.ndarray:
@@ -251,11 +256,14 @@ def _gth(A: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
     1993).  A's own diagonal is ignored; A is reduced in place to the factors
     `_derivative` reuses.  Below the diagonal, row k ends as the rates into
     state k once the states above it are censored; A[k, k] as its outflow
-    out_k to the states below; above the diagonal, column k as the
+    out_k to the states below; above the diagonal, column k >= 2 as the
     fractions (non-negative, summing to 1) in which out_k returns to them.
-    Also returns per point the highest state without outflow to those below
-    it, or -1 (None if no point has one): that point's p is meaningless.
-    Each step indexes A through `_STEPS`, so N = 1 makes the same calls.
+    Column 1's one fraction A[0, 1] is not formed: `_derivative`,
+    `_back_substitute` and the outflow check below never read it, so it is
+    left as the censored rate 1 -> 0.  Also returns per point the highest
+    state without outflow to those below it, or -1 (None if no point has
+    one): that point's p is meaningless.  Each step indexes A through
+    `_STEPS`, so N = 1 makes the same calls.
     """
     n_points = len(A)
     p = np.ones((n_points, 8, 1))
@@ -263,8 +271,8 @@ def _gth(A: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
         for row, column, diagonal, block, _, _ in reversed(_STEPS):
             column, out = A[column], A[diagonal]
             np.add.reduce(column, axis=1, keepdims=True, out=out)
-            np.divide(column, out, out=column)
-            if block is not None:
+            if block is not None:  # k > 1: nothing reads the fraction A[0, 1]
+                np.divide(column, out, out=column)
                 block = A[block]
                 np.add(block, column * A[row], out=block)
         _back_substitute(A, p)
@@ -314,7 +322,7 @@ class _Failures:
         self.ok = np.ones(n_points, dtype=bool)
 
     def record(self, mask: np.ndarray, error: type[Exception], message: str) -> None:
-        if mask.any():
+        if np.count_nonzero(mask):
             mask = mask & self.ok
             for n in np.flatnonzero(mask):
                 self.errors[n] = error(message)
@@ -345,15 +353,28 @@ def _steady(t: _Table, undefined: np.ndarray, dark: np.ndarray, pinned: np.ndarr
 
     dark[n] says whether point n has fully common coupling, pinned[n]
     whether it has a dark-state pin and rho44[n] its value (0 where none).
-    A dark state, which has no rates, is drained 3 -> 0 at unit rate, as
-    steady_state describes.  Where every point is solved and none is pinned,
-    `_gth`'s results are the populations: the pins would scale them by
-    1 - 0 and add 0, which changes no bit.
+    A dark state is solved only where it is pinned; it has no rates and is
+    drained 3 -> 0 at unit rate, as steady_state describes (its rate there
+    is exactly 0.0, so adding dark sets it to 1.0 and adds +0.0 elsewhere).
+    One count finds any missing, superfluous or out-of-range pin and any
+    undefined nbar; only then are the errors recorded, in that order, and
+    the other points picked out.  Where every point is solved, the pins are
+    restored on whole arrays, and where none is pinned either, `_gth`'s
+    results are the populations: the pins would scale them by 1 - 0 and
+    add 0, which changes no bit.
     """
     n_points = len(dark)
     failures = _Failures(n_points)
     W = _rates(t.down, t.up)
-    if dark.any() or pinned.any():  # else no pin to check and no dark state to drain
+    pins = np.count_nonzero(pinned)
+    invalid = dark != pinned  # a pin missing or superfluous
+    if pins:  # rho44 is 0 where no pin is set
+        invalid |= ~((rho44 >= 0.0) & (rho44 <= 1.0))
+        W[:, 0, DARK_STATE] += dark
+    every_point = not np.count_nonzero(invalid | undefined)
+    if every_point:
+        points, A = np.arange(n_points), W
+    else:
         failures.record(dark & ~pinned, UnderdeterminedError,
                         "fully common coupling leaves the dark-state population free; "
                         "supply rho44_init")
@@ -361,11 +382,9 @@ def _steady(t: _Table, undefined: np.ndarray, dark: np.ndarray, pinned: np.ndarr
                         "steady state is unique; rho44_init must not be supplied")
         failures.record(pinned & ~((rho44 >= 0.0) & (rho44 <= 1.0)), ParameterError,
                         "rho44_init must lie in [0, 1]")
-        W[dark, 0, DARK_STATE] = 1.0
-    failures.record(undefined, ParameterError, _NBAR_UNDEFINED)
-    points = failures.ok.nonzero()[0]
-    every_point = len(points) == n_points
-    A = W if every_point else W[points]
+        failures.record(undefined, ParameterError, _NBAR_UNDEFINED)
+        points = failures.ok.nonzero()[0]
+        A = W[points]
     q, stuck = _gth(A)
     if stuck is not None:
         keep = stuck < 0
@@ -374,12 +393,16 @@ def _steady(t: _Table, undefined: np.ndarray, dark: np.ndarray, pinned: np.ndarr
                                                   "below it")
         failures.ok[points[~keep]] = False
         points, A, q = points[keep], A[keep], q[keep]
-    elif every_point and not pinned.any():
+        every_point = False
+    if every_point and not pins:
         return _Steady(t, q, failures, points, A, q)
-    p = np.full((n_points, 8), np.nan)
-    # rho44 is 0 where no pin is set, so this leaves lit points as they are
-    p[points] = q * (1.0 - rho44[points, None])
-    p[points, DARK_STATE] += rho44[points]
+    if every_point:
+        p = q * (1.0 - rho44[:, None])
+        p[:, DARK_STATE] += rho44
+    else:
+        p = np.full((n_points, 8), np.nan)
+        p[points] = q * (1.0 - rho44[points, None])
+        p[points, DARK_STATE] += rho44[points]
     return _Steady(t, p, failures, points, A, q)
 
 

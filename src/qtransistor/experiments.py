@@ -100,17 +100,21 @@ def write_lines(lines: list[str], path: str | None) -> None:
     as writing it in place.  A new file gets mode 0o666 & ~umask, as with
     open(path, "w").  Only regular files are cut; a device such as
     /dev/null or a pipe is written as it is.  Nothing is fsynced.  A write
-    that fails partway raises OSError, but the file may then hold the new
-    rows followed by old bytes.
+    or close that fails raises OSError naming path (the file may then hold
+    the new rows followed by old bytes).
     """
     text = "\n".join(lines) + "\n"
     if path is None:
         sys.stdout.write(text)
         return
-    with open(os.open(path, _OPEN_FLAGS, 0o666), "w") as fh:
-        fh.write(text)
-        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
-            fh.truncate()
+    fd = os.open(path, _OPEN_FLAGS, 0o666)
+    try:
+        with open(fd, "w") as fh:
+            fh.write(text)
+            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                fh.truncate()
+    except OSError as exc:  # write and close errors carry no file name
+        raise OSError(exc.errno, exc.strerror, path) from exc
 
 
 @dataclass(frozen=True)

@@ -58,6 +58,21 @@ def test_out_to_a_device(capsys):
     assert capsys.readouterr().err == ""
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_failed_write_names_its_file(capsys):
+    # the error comes from write or close, not from open, and must still say which file
+    assert main(["sweep", "--config", "fig9a", "--points", "2", "--out", "/dev/full"]) == 2
+    assert capsys.readouterr().err == "error: [Errno 28] No space left on device: '/dev/full'\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_failed_trajectory_write_names_its_file(tmp_path, capsys):
+    report = tmp_path / "report.txt"
+    assert main(["modulate", "--config", "fig8", "--out", str(report),
+                 "--trajectory-out", "/dev/full"]) == 2
+    assert capsys.readouterr().err == "error: [Errno 28] No space left on device: '/dev/full'\n"
+
+
 def test_new_file_mode_follows_the_umask(tmp_path):
     out = tmp_path / "new.csv"
     old = os.umask(0o027)

@@ -357,19 +357,29 @@ class TestBatchedKernel:
             single = solve([point], [pin], control="M")
             assert batch.errors[n] is None and single.errors[0] is None
             # bit for bit: a batch changes neither the arithmetic nor the order of any sum
-            for got, expected in ((batch.populations, single.populations),
-                                  (batch.currents, single.currents), (batch.alpha, single.alpha)):
+            for got, expected in zip(batch[:4], single[:4]):
                 assert got[n].tobytes() == expected[0].tobytes()
 
+    def test_currents_do_not_follow_the_table_layout(self):
+        # the row heats of a table laid out column-major are summed in the same order
+        params, pins = mixed_draws(400)
+        t, _ = dynamics._table(dynamics._inputs(params))
+        p = solve(params, pins).populations
+        fortran = dynamics._Table(*map(np.asfortranarray, t))
+        for got, expected in zip(dynamics._heat(fortran, p), dynamics._heat(t, p)):
+            assert got.tobytes() == expected.tobytes()
+
     def test_failed_points_do_not_disturb_the_batch(self, fig2_params, dark_params):
+        # a superfluous pin outside [0, 1] is reported as superfluous
         points = [fig2_params, dark_params, without_outflow(fig2_params),
-                  fig2_params, dark_params, fig2_params.replace(T_M=0.001)]
-        pins = [None, None, None, 0.3, 1.5, None]
+                  fig2_params, dark_params, fig2_params.replace(T_M=0.001),
+                  fig2_params, dark_params]
+        pins = [None, None, None, 0.3, 1.5, None, 1.5, math.nan]
         sol = solve(points, pins, control="M")
         expected = [None, UnderdeterminedError, SteadyStateError, OverdeterminedError,
-                    ParameterError, DegenerateControlError]
+                    ParameterError, DegenerateControlError, OverdeterminedError, ParameterError]
         assert [type(e) if e is not None else None for e in sol.errors] == expected
-        assert np.all(np.isnan(sol.populations[1:5]))
+        assert np.all(np.isnan(sol.populations[[1, 2, 3, 4, 6, 7]]))
         np.testing.assert_array_equal(sol.populations[0], steady_state(fig2_params))
         # only alpha failed at the frozen control bath
         np.testing.assert_array_equal(sol.populations[5],
