@@ -256,14 +256,11 @@ def _gth(A: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
     1993).  A's own diagonal is ignored; A is reduced in place to the factors
     `_derivative` reuses.  Below the diagonal, row k ends as the rates into
     state k once the states above it are censored; A[k, k] as its outflow
-    out_k to the states below; above the diagonal, column k >= 2 as the
+    out_k to the states below; above the diagonal, column k as the
     fractions (non-negative, summing to 1) in which out_k returns to them.
-    Column 1's one fraction A[0, 1] is not formed: `_derivative`,
-    `_back_substitute` and the outflow check below never read it, so it is
-    left as the censored rate 1 -> 0.  Also returns per point the highest
-    state without outflow to those below it, or -1 (None if no point has
-    one): that point's p is meaningless.  Each step indexes A through
-    `_STEPS`, so N = 1 makes the same calls.
+    Also returns per point the highest state without outflow to those below
+    it, or -1 (None if no point has one): that point's p is meaningless.
+    Each step indexes A through `_STEPS`, so N = 1 makes the same calls.
     """
     n_points = len(A)
     p = np.ones((n_points, 8, 1))
@@ -271,8 +268,8 @@ def _gth(A: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
         for row, column, diagonal, block, _, _ in reversed(_STEPS):
             column, out = A[column], A[diagonal]
             np.add.reduce(column, axis=1, keepdims=True, out=out)
-            if block is not None:  # k > 1: nothing reads the fraction A[0, 1]
-                np.divide(column, out, out=column)
+            np.divide(column, out, out=column)
+            if block is not None:
                 block = A[block]
                 np.add(block, column * A[row], out=block)
         _back_substitute(A, p)
@@ -358,10 +355,10 @@ def _steady(t: _Table, undefined: np.ndarray, dark: np.ndarray, pinned: np.ndarr
     is exactly 0.0, so adding dark sets it to 1.0 and adds +0.0 elsewhere).
     One count finds any missing, superfluous or out-of-range pin and any
     undefined nbar; only then are the errors recorded, in that order, and
-    the other points picked out.  Where every point is solved, the pins are
-    restored on whole arrays, and where none is pinned either, `_gth`'s
-    results are the populations: the pins would scale them by 1 - 0 and
-    add 0, which changes no bit.
+    the other points picked out.  The pins are restored on whole arrays, a
+    failed point's NaN row staying NaN; where every point is solved and
+    none is pinned, `_gth`'s results are the populations: the pins would
+    scale them by 1 - 0 and add 0, which changes no bit.
     """
     n_points = len(dark)
     failures = _Failures(n_points)
@@ -369,7 +366,8 @@ def _steady(t: _Table, undefined: np.ndarray, dark: np.ndarray, pinned: np.ndarr
     pins = np.count_nonzero(pinned)
     invalid = dark != pinned  # a pin missing or superfluous
     if pins:  # rho44 is 0 where no pin is set
-        invalid |= ~((rho44 >= 0.0) & (rho44 <= 1.0))
+        out_of_range = ~((rho44 >= 0.0) & (rho44 <= 1.0))
+        invalid |= out_of_range
         W[:, 0, DARK_STATE] += dark
     every_point = not np.count_nonzero(invalid | undefined)
     if every_point:
@@ -380,8 +378,9 @@ def _steady(t: _Table, undefined: np.ndarray, dark: np.ndarray, pinned: np.ndarr
                         "supply rho44_init")
         failures.record(pinned & ~dark, OverdeterminedError,
                         "steady state is unique; rho44_init must not be supplied")
-        failures.record(pinned & ~((rho44 >= 0.0) & (rho44 <= 1.0)), ParameterError,
-                        "rho44_init must lie in [0, 1]")
+        if pins:
+            failures.record(pinned & out_of_range, ParameterError,
+                            "rho44_init must lie in [0, 1]")
         failures.record(undefined, ParameterError, _NBAR_UNDEFINED)
         points = failures.ok.nonzero()[0]
         A = W[points]
@@ -396,13 +395,12 @@ def _steady(t: _Table, undefined: np.ndarray, dark: np.ndarray, pinned: np.ndarr
         every_point = False
     if every_point and not pins:
         return _Steady(t, q, failures, points, A, q)
-    if every_point:
-        p = q * (1.0 - rho44[:, None])
-        p[:, DARK_STATE] += rho44
-    else:
+    p = q
+    if not every_point:  # failed rows stay NaN through the restore
         p = np.full((n_points, 8), np.nan)
-        p[points] = q * (1.0 - rho44[points, None])
-        p[points, DARK_STATE] += rho44[points]
+        p[points] = q
+    p = p * (1.0 - rho44[:, None])
+    p[:, DARK_STATE] += rho44
     return _Steady(t, p, failures, points, A, q)
 
 
