@@ -1,50 +1,23 @@
-"""Collective jump operators and their Bohr-frequency decomposition.
+"""Collective dissipation channels from the 24 transition rows.
 
 Each reservoir nu couples through one collective operator S_nu combining a
 single-qubit lowering with a lambda-weighted two-qubit transition.  In the
-energy eigenbasis S_nu splits into channels S_{nu,k}, one per positive Bohr
-frequency, each holding at most two transition amplitudes.  Two
-constructions are provided: closed-form coefficients (channels_analytic)
-and a generic numerical regrouping (decompose_numeric); they must agree
-entrywise.  The closed forms are stated once, as the 24 rows of
+energy eigenbasis the lowering part of S_nu splits into channels S_{nu,k},
+one per positive Bohr frequency, each holding at most two transition
+amplitudes.  Their closed forms are stated once, as the 24 rows of
 TRANSITIONS evaluated by transition_rows: channels_analytic groups them
-into channels, and the kernel table of dynamics and the Lindblad
-superoperator (through channels_analytic) read the same rows; a row
+into channels, and the kernel table of dynamics reads the same rows; a row
 carries a rate exactly where its amplitude is nonzero, with no cut-off.
-
-Note the eigenbasis transform of S_nu also contains small raising entries
-at negative Bohr frequencies (counter-rotating admixtures of order
-sin(beta)).  The master equation never uses them: under the rotating-wave
-system-bath coupling the bath spectral function has no weight at negative
-frequencies.  Channels therefore reconstruct exactly the positive-frequency
-(lowering) part of S_nu, not the full operator.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (
-    RESERVOIRS,
-    EigenSystem,
-    SystemParams,
-    closed_forms,
-    min_distinct_bohr_gap,
-)
-
-# decompose_numeric's floor for the rounding noise of a numerically
-# transformed V^T S V: smaller entries count as zero
-AMPLITUDE_TOL = 1e-12
-
-# default Bohr-frequency grouping tolerance, in units of omega_0
-FREQUENCY_TOL = 1e-9
-
-
-class FrequencyAmbiguityError(ValueError):
-    """Grouping tolerance cannot separate distinct Bohr frequencies."""
+from .model import RESERVOIRS, SystemParams, closed_forms, input_rows
 
 
 @dataclass(frozen=True)
@@ -61,31 +34,6 @@ class DissipationChannel:
     frequency: float
     operator: np.ndarray
     amplitudes: tuple[tuple[int, int, float], ...]
-
-
-def _lower() -> np.ndarray:
-    # sigma^- = |0><1| with ordering (|0>, |1>)
-    return np.array([[0.0, 1.0], [0.0, 0.0]])
-
-
-def jump_operators(params: SystemParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Collective jump operators (S_L, S_M, S_R) in the computational basis.
-
-    S_L = sigma_L^- + lambda1 sigma_R^- sigma_M^+
-    S_M = sigma_M^- + lambda2 sigma_L^+ sigma_R^-
-    S_R = sigma_R^- + lambda3 sigma_L^- sigma_M^-
-    """
-    sm = _lower()
-    sp = sm.T
-    I2 = np.eye(2)
-
-    def kron3(a, b, c):
-        return np.kron(a, np.kron(b, c))
-
-    S_L = kron3(sm, I2, I2) + params.lambda1 * kron3(I2, sp, sm)
-    S_M = kron3(I2, sm, I2) + params.lambda2 * kron3(sp, I2, sm)
-    S_R = kron3(I2, I2, sm) + params.lambda3 * kron3(sm, sm, I2)
-    return S_L, S_M, S_R
 
 
 # One row per channel amplitude a = <eps_i|S_nu|eps_j>, two rows per channel
@@ -151,7 +99,7 @@ def channels_analytic(params: SystemParams) -> list[DissipationChannel]:
     operator, so a channel can be empty (possible only at g = 0).
     """
     omega, a = (column[0].tolist() for column in
-                transition_rows(np.array([astuple(params)], dtype=float)))
+                transition_rows(input_rows([params])))
     channels = []
     for c in range(12):
         amplitudes = tuple((*TRANSITIONS[r][:2], a[r]) for r in (2 * c, 2 * c + 1) if a[r])
@@ -160,65 +108,6 @@ def channels_analytic(params: SystemParams) -> list[DissipationChannel]:
             op[i, j] = amplitude
         channels.append(DissipationChannel(TRANSITIONS[2 * c][2], c % 4 + 1, omega[2 * c],
                                            op, amplitudes))
-    return channels
-
-
-def positive_frequency_part(S: np.ndarray, eig: EigenSystem) -> np.ndarray:
-    """Lowering part of S in the eigenbasis: entries with eps_j > eps_i."""
-    Se = eig.eigenvectors.T @ S @ eig.eigenvectors
-    mask = eig.eigenvalues[None, :] > eig.eigenvalues[:, None]
-    return np.where(mask, Se, 0.0)
-
-
-def decompose_numeric(
-    S: np.ndarray,
-    eig: EigenSystem,
-    tol: float = FREQUENCY_TOL,
-    reservoir: str = "?",
-) -> list[DissipationChannel]:
-    """Group the eigenbasis entries of S by positive Bohr frequency.
-
-    Channels come back sorted by ascending frequency with index k = 1..n.
-    tol must resolve the spectrum: it is validated against the smallest gap
-    between distinct Bohr frequencies so that genuinely different channels
-    are never merged.
-    """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    gap = min_distinct_bohr_gap(eig.eigenvalues)
-    if tol >= gap:
-        raise FrequencyAmbiguityError(
-            f"grouping tolerance {tol:g} is not below the smallest distinct "
-            f"Bohr-frequency gap {gap:g}"
-        )
-    Se = eig.eigenvectors.T @ S @ eig.eigenvectors
-    entries = []
-    for i in range(8):
-        for j in range(8):
-            freq = eig.eigenvalues[j] - eig.eigenvalues[i]
-            if freq > tol and abs(Se[i, j]) > AMPLITUDE_TOL:
-                entries.append((freq, i, j, Se[i, j]))
-    entries.sort(key=lambda e: e[0])
-
-    groups: list[list[tuple]] = []
-    for e in entries:
-        if groups and e[0] - groups[-1][-1][0] <= tol:
-            groups[-1].append(e)
-        else:
-            groups.append([e])
-
-    channels = []
-    for k, group in enumerate(groups, start=1):
-        freq = float(np.mean([e[0] for e in group]))
-        op = np.zeros((8, 8))
-        amps = []
-        for _, i, j, a in group:
-            op[i, j] = a
-            amps.append((i, j, float(a)))
-        channels.append(DissipationChannel(
-            reservoir=reservoir, index=k, frequency=freq,
-            operator=op, amplitudes=tuple(amps),
-        ))
     return channels
 
 

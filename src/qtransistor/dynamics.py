@@ -1,4 +1,4 @@
-"""Master-equation dynamics: rate equations, steady states, full evolution.
+"""Master-equation dynamics: rate equations, steady states, drives.
 
 In the energy eigenbasis the populations close on themselves: they obey a
 classical rate equation p' = W p.  One batched kernel, `_solve`, computes
@@ -13,33 +13,26 @@ the amplification factors; currents and the residual max|W p| come from
 the table's rows.  Nothing in it loops over points or channels.
 rate_matrix, steady_state and (in observables) heat_currents and
 amplification_factor are its N = 1 calls.  The table reads its rows from
-channels.transition_rows, as channels_analytic and so the Lindblad
-superoperator do, and its Bose occupations from _nbar, which
-bose_occupation calls on one value, so one point's table equals their
-numbers bit for bit.
-Coherences decay independently, so the steady state is diagonal; a full
-density-matrix propagator is kept as an oracle for that claim.
+channels.transition_rows, as channels_analytic does, and its Bose
+occupations from _nbar, which bose_occupation calls on one value, so one
+point's table equals their numbers bit for bit.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import operator
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .channels import ROW_I, ROW_J, ROW_RESERVOIR, channels_analytic, transition_rows
-from .model import FIELD_NAMES, RESERVOIRS, ParameterError, SystemParams, analytic_eigensystem
+from .channels import ROW_I, ROW_J, ROW_RESERVOIR, transition_rows
+from .model import RESERVOIRS, ParameterError, SystemParams, input_rows
 
 # 0-based index of the eigenstate that decouples at lambda = (1, 1, 1)
 DARK_STATE = 3
-
-ODE_RTOL = 1e-12
-ODE_ATOL = 1e-16
 
 
 class SteadyStateError(ValueError):
@@ -58,10 +51,6 @@ class DegenerateControlError(ArithmeticError):
     """The control current does not respond to the control temperature."""
 
 
-class IntegrationError(RuntimeError):
-    """Time integration failed to reach the requested horizon."""
-
-
 def _nbar(z: np.ndarray) -> np.ndarray:
     """Bose occupation 1 / (exp(z) - 1) of z = omega / T, elementwise.
 
@@ -69,7 +58,8 @@ def _nbar(z: np.ndarray) -> np.ndarray:
     (hard underflow to 0 is accepted, and z = inf gives 0) nor cancels for
     z << 1.
     """
-    return np.exp(-z) / -np.expm1(-z)
+    minus_z = -z
+    return np.exp(minus_z) / -np.expm1(minus_z)
 
 
 _NBAR_UNDEFINED = "bose_occupation requires omega > 0"
@@ -84,9 +74,6 @@ def bose_occupation(omega: float, T: float) -> float:
     return float(_nbar(np.array([omega / T]))[0])
 
 
-# the SystemParams fields the kernel reads, as the columns of its input
-_FIELDS = operator.attrgetter(*FIELD_NAMES)
-
 # flat indices into a row-major 8x8 W: transfer j -> i sits at W[i, j] and
 # i -> j at W[j, i]; the 24 pairs are distinct, so each entry is set once
 _DOWN = ROW_I * 8 + ROW_J
@@ -96,11 +83,6 @@ _UP = ROW_J * 8 + ROW_I
 _INCIDENCE = np.eye(8)[ROW_J] - np.eye(8)[ROW_I]
 # the input columns of each row's reservoir temperature and decay rate
 _T_COLUMN, _GAMMA_COLUMN = 3 + ROW_RESERVOIR, 6 + ROW_RESERVOIR
-
-
-def _inputs(params: Sequence[SystemParams]) -> np.ndarray:
-    """(N, 12) kernel input, columns in _FIELDS order."""
-    return np.array([_FIELDS(p) for p in params], dtype=float).reshape(len(params), 12)
 
 
 def _dark(x: np.ndarray) -> np.ndarray:
@@ -162,7 +144,7 @@ def _cached_table(params: SystemParams) -> tuple[_Table, np.ndarray]:
     heat_currents), so one entry serves; a table depends on nothing but the
     values of params, so a hit returns exactly what a rebuild would.
     """
-    result = _table(_inputs([params]))
+    result = _table(input_rows([params]))
     for array in (*result[0], result[1]):
         array.flags.writeable = False
     return result
@@ -453,7 +435,7 @@ def solve(
         rho44_init = [None] * len(params)
     if len(rho44_init) != len(params):
         raise ValueError("rho44_init needs one entry (a pin or None) per parameter set")
-    return _solve(_inputs(params), *_pins(rho44_init), control)
+    return _solve(input_rows(params), *_pins(rho44_init), control)
 
 
 def _solve(
@@ -462,7 +444,7 @@ def _solve(
     rho44: np.ndarray,
     control: str | None = None,
 ) -> Solution:
-    """`solve` on (N, 12) input rows x, columns in _FIELDS order.
+    """`solve` on (N, 12) input rows x, columns in model.FIELD_NAMES order.
 
     The rows must lie in the SystemParams domain (see model.check_rows);
     pinned and rho44 are the pins in the form `_steady` takes them.
@@ -528,83 +510,6 @@ def _check_populations(p: np.ndarray) -> np.ndarray:
     return p
 
 
-def _check_times(t_grid: np.ndarray) -> np.ndarray:
-    t_grid = np.asarray(t_grid, dtype=float)
-    if not (t_grid.ndim == 1 and t_grid.size and np.all(np.abs(t_grid) < math.inf)
-            and np.all(np.diff(t_grid) > 0)):
-        raise ParameterError("t_grid must be a strictly increasing 1-d array of finite times")
-    return t_grid
-
-
-def _integrate(
-    generator: Callable[[], np.ndarray], y0: np.ndarray, t_grid: np.ndarray, what: str,
-) -> np.ndarray:
-    """Integrate y' = G y adaptively, G = generator() (built only for a grid of
-    more than one point); row n is the state at t_grid[n]."""
-    if t_grid.size == 1:
-        return y0[None, :].copy()
-    from scipy.integrate import solve_ivp  # only the two oracle integrators load SciPy
-
-    G = generator()
-    sol = solve_ivp(
-        lambda t, y: G @ y,
-        (t_grid[0], t_grid[-1]),
-        y0,
-        t_eval=t_grid,
-        method="DOP853",
-        rtol=ODE_RTOL,
-        atol=ODE_ATOL,
-    )
-    if not sol.success:
-        raise IntegrationError(f"{what} integration failed: {sol.message}")
-    return sol.y.T
-
-
-def evolve_populations(
-    params: SystemParams,
-    p0: np.ndarray,
-    t_grid: np.ndarray,
-) -> np.ndarray:
-    """Integrate p' = W p adaptively; row n is the state at t_grid[n]."""
-    p0 = _check_populations(p0)
-    t_grid = _check_times(t_grid)
-    return _integrate(lambda: rate_matrix(params), p0, t_grid, "population")
-
-
-def _superop(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    # rho -> A rho B on row-major flattened rho
-    return np.kron(A, B.T)
-
-
-def _dissipator_term(X: np.ndarray) -> np.ndarray:
-    XtX = X.T @ X
-    I8 = np.eye(8)
-    return _superop(X, X.T) - 0.5 * (_superop(XtX, I8) + _superop(I8, XtX))
-
-
-def dissipator_superoperator(params: SystemParams, reservoir: str | None = None) -> np.ndarray:
-    """64x64 dissipative generator in the energy eigenbasis (row-major vec).
-
-    Sums gamma (nbar+1) D[S_k] + gamma nbar D[S_k^T] over the channels of
-    one reservoir (or all three), as channels_analytic builds them from the
-    transition rows the kernel's table reads; empty channels add nothing.
-    The Hamiltonian commutator is not included: in the eigenbasis it only
-    attaches phases to coherences and is applied analytically by
-    evolve_density_matrix.
-    """
-    D = np.zeros((64, 64))
-    for ch in channels_analytic(params):
-        if reservoir is not None and ch.reservoir != reservoir:
-            continue
-        if not ch.amplitudes:
-            continue
-        gamma = params.decay_rate(ch.reservoir)
-        n = bose_occupation(ch.frequency, params.temperature(ch.reservoir))
-        D += gamma * (n + 1.0) * _dissipator_term(ch.operator)
-        D += gamma * n * _dissipator_term(ch.operator.T)
-    return D
-
-
 def _check_density_matrix(rho: np.ndarray) -> np.ndarray:
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (8, 8):
@@ -618,29 +523,6 @@ def _check_density_matrix(rho: np.ndarray) -> np.ndarray:
     if np.linalg.eigvalsh(rho).min() < -1e-10:
         raise ParameterError("density matrix must be positive semidefinite")
     return rho
-
-
-def evolve_density_matrix(
-    params: SystemParams,
-    rho0: np.ndarray,
-    t_grid: np.ndarray,
-) -> np.ndarray:
-    """Full master-equation trajectory including coherences (oracle path).
-
-    rho0 and the returned states live in the energy eigenbasis.  The
-    generator splits into the dissipator plus the Hamiltonian commutator;
-    the latter commutes with the secular dissipator, so the stiff unitary
-    phases exp(-i (eps_i - eps_j) t) are attached exactly after adaptively
-    integrating the dissipative part alone.
-    """
-    rho0 = _check_density_matrix(rho0)
-    t_grid = _check_times(t_grid)
-    eig = analytic_eigensystem(params)
-    traj = _integrate(lambda: dissipator_superoperator(params),
-                      rho0.reshape(64), t_grid, "density-matrix").reshape(-1, 8, 8)
-    phase = np.exp(-1j * (eig.eigenvalues[:, None] - eig.eigenvalues[None, :])
-                   * (t_grid - t_grid[0])[:, None, None])
-    return traj * phase
 
 
 @dataclass(frozen=True)
@@ -700,24 +582,3 @@ def apply_drive(state: np.ndarray, drive: DriveSpec) -> np.ndarray:
         U = drive_unitary(drive)
         return U @ rho @ U.conj().T
     raise ParameterError("state must be a population vector or a density matrix")
-
-
-def slowest_relaxation_rate(W: np.ndarray) -> float:
-    """Smallest decay rate |Re eigenvalue| of the rate matrix W.
-
-    W has one stationary mode, plus one more for every state whose row and
-    column are identically zero (the dark state at fully common coupling).
-    Exactly those smallest rates are dropped, however close to zero the
-    next one is: near the dark state the slow mode falls as (1 - lambda)^2.
-    """
-    isolated = np.all(W == 0.0, axis=0) & np.all(W == 0.0, axis=1)
-    rates = np.sort(np.abs(np.linalg.eigvals(W).real))
-    stationary = 1 + int(np.count_nonzero(isolated))
-    if stationary >= rates.size or not rates[stationary] > 0.0:
-        raise SteadyStateError("rate matrix has no relaxing mode")
-    return float(rates[stationary])
-
-
-def relaxation_horizon(W: np.ndarray, decades: float = 18.0) -> float:
-    """Integration time after which transients have decayed by ~10^-decades."""
-    return decades * math.log(10.0) / slowest_relaxation_rate(W)

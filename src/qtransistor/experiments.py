@@ -38,7 +38,6 @@ from .dynamics import (
     Solution,
     SteadyStateError,
     _dark,
-    _inputs,
     _raise_first,
     _solve,
     _solve_point,
@@ -50,6 +49,7 @@ from .model import (
     ParameterError,
     SystemParams,
     check_rows,
+    input_rows,
     secular_checks,
 )
 from .observables import HeatCurrentTriple
@@ -179,7 +179,7 @@ def _grid(
     first row outside its domain.
     """
     n = len(next(iter(columns.values())))
-    x = np.repeat(_inputs([base]), n, axis=0)
+    x = np.repeat(input_rows([base]), n, axis=0)
     rho44 = np.full(n, 0.0 if rho44_init is None else rho44_init)
     has_pin = rho44_init is not None
     for axis, values in columns.items():
@@ -471,9 +471,9 @@ def write_population_csv(curves: PopulationCurves, path: str | None) -> None:
 # flat key = value configs
 # ---------------------------------------------------------------------------
 
-_PARAM_KEYS = {field.name for field in fields(SystemParams)} | {"gamma"}
-_RUN_KEYS = {
-    "axis", "lo", "hi", "points", "control", "outputs", "rho44_init",
+_PARAM_FIELDS = fields(SystemParams)
+_CONFIG_KEYS = {field.name for field in _PARAM_FIELDS} | {
+    "gamma", "axis", "lo", "hi", "points", "control", "outputs", "rho44_init",
     "drive_Omega", "drive_duration", "compare_lambda1",
 }
 
@@ -492,7 +492,7 @@ def parse_config(text: str) -> dict[str, str]:
             raise ConfigError(f"line {lineno}: empty key or value")
         if key in out:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        if key not in _PARAM_KEYS | _RUN_KEYS:
+        if key not in _CONFIG_KEYS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         out[key] = value
     return out
@@ -526,7 +526,7 @@ def params_from_config(cfg: dict[str, str]) -> SystemParams:
     field with a default (the lambdas) to that default; the rest are required."""
     gamma = _get_float(cfg, "gamma") if "gamma" in cfg else None
     values = {}
-    for field in fields(SystemParams):
+    for field in _PARAM_FIELDS:
         name = field.name
         if name.startswith("gamma_") and name not in cfg:
             if gamma is None:

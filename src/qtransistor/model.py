@@ -16,7 +16,9 @@ units of omega_0):
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass, fields, replace
+import operator
+from collections.abc import Sequence
+from dataclasses import dataclass, fields, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -94,6 +96,13 @@ class SystemParams:
 
 
 FIELD_NAMES = tuple(field.name for field in fields(SystemParams))
+_FIELDS = operator.attrgetter(*FIELD_NAMES)
+
+
+def input_rows(params: Sequence[SystemParams]) -> np.ndarray:
+    """(N, 12) input rows of N points: their fields, columns in FIELD_NAMES order."""
+    return np.array([_FIELDS(p) for p in params], dtype=float).reshape(len(params), 12)
+
 
 # per column of an input row: the largest value allowed, and whether 0 is
 _ROW_MAX = np.array([1.0 if name in _UNIT_FIELDS else np.finfo(float).max
@@ -199,13 +208,9 @@ def _ket(label: str) -> np.ndarray:
     return v
 
 
-def _row(params: SystemParams) -> np.ndarray:
-    return np.array([[params.omega_L, params.omega_M, params.g]])
-
-
 def analytic_eigenvalues(params: SystemParams) -> np.ndarray:
     """Closed-form eigenvalues in the pairing order (R, L, M, 4 | 4, M, L, R)."""
-    return closed_forms(_row(params))[0][0]
+    return closed_forms(input_rows([params]))[0][0]
 
 
 def analytic_eigensystem(params: SystemParams) -> EigenSystem:
@@ -214,7 +219,7 @@ def analytic_eigensystem(params: SystemParams) -> EigenSystem:
     Each eigenvector is a superposition of exactly two computational basis
     states related by flipping all three qubits.
     """
-    eigenvalues, beta = closed_forms(_row(params))
+    eigenvalues, beta = closed_forms(input_rows([params]))
     angles = MixingAngles(*beta[0].tolist(), beta_4=mixing_angle(0.0, params.g))
     (cR, cL, cM, c4), (sR, sL, sM, s4) = np.cos(angles), np.sin(angles)
 
@@ -295,7 +300,7 @@ def secular_checks(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def validate_secular(params: SystemParams) -> SecularReport:
     """Report how comfortably the secular / weak-damping regime holds."""
-    ratio, min_omega, warnings = secular_checks(np.array([astuple(params)], dtype=float))
+    ratio, min_omega, warnings = secular_checks(input_rows([params]))
     ratio = float(ratio[0])
     omega_over_g = math.inf if params.g == 0 else float(min_omega[0]) / params.g
     messages = (

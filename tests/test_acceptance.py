@@ -29,8 +29,9 @@ from qtransistor import (
     steady_state,
 )
 from qtransistor.cli import main
-from qtransistor.dynamics import DriveSpec, relaxation_horizon
+from qtransistor.dynamics import DriveSpec
 from qtransistor.experiments import load_config, params_from_config, sweep_from_config
+from qtransistor.oracles import relaxation_horizon
 from qtransistor.presets import PRESETS
 
 from conftest import random_params

@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import math
 import os
@@ -34,7 +35,9 @@ from qtransistor import (
 import qtransistor
 from qtransistor import dynamics, heat_currents
 from qtransistor.channels import ROW_RESERVOIR, channels_analytic
-from qtransistor.dynamics import relaxation_horizon, slowest_relaxation_rate, solve
+from qtransistor.dynamics import solve
+from qtransistor.model import input_rows
+from qtransistor.oracles import relaxation_horizon, slowest_relaxation_rate
 
 from conftest import COLD, DARK_CROSSOVER_U, near_dark, random_params
 
@@ -363,7 +366,7 @@ class TestBatchedKernel:
     def test_currents_do_not_follow_the_table_layout(self):
         # the row heats of a table laid out column-major are summed in the same order
         params, pins = mixed_draws(400)
-        t, _ = dynamics._table(dynamics._inputs(params))
+        t, _ = dynamics._table(input_rows(params))
         p = solve(params, pins).populations
         fortran = dynamics._Table(*map(np.asfortranarray, t))
         for got, expected in zip(dynamics._heat(fortran, p), dynamics._heat(t, p)):
@@ -499,7 +502,7 @@ class TestTableMemo:
         # g = -0.0 passes SystemParams and equals g = 0.0, so both hit one memo
         # entry: their tables must be the same bytes
         plus, minus = fig2_params.replace(g=0.0), fig2_params.replace(g=-0.0)
-        (t_plus, u_plus), (t_minus, u_minus) = (dynamics._table(dynamics._inputs([x]))
+        (t_plus, u_plus), (t_minus, u_minus) = (dynamics._table(input_rows([x]))
                                                 for x in (plus, minus))
         for a, b in zip((*t_plus, u_plus), (*t_minus, u_minus)):
             assert a.tobytes() == b.tobytes()
@@ -575,6 +578,38 @@ def test_package_import_leaves_scipy_unloaded():
     run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": src})
     assert run.stdout.strip() == "False"
+
+
+ORACLE_NAMES = (
+    "FrequencyAmbiguityError", "IntegrationError", "SingularDenominatorError",
+    "closed_form_discrepancy", "closed_form_populations", "decompose_numeric",
+    "dissipator_superoperator", "evolve_density_matrix", "evolve_populations",
+    "heat_currents_trace", "jump_operators", "positive_frequency_part",
+)
+
+
+def test_kernel_modules_do_not_import_the_oracles():
+    # the references live in qtransistor.oracles, which imports the kernel, never the reverse
+    from qtransistor import oracles
+
+    package = os.path.dirname(qtransistor.__file__)
+    kernel = [name for name in os.listdir(package)
+              if name.endswith(".py") and name not in ("oracles.py", "__init__.py")]
+    assert {"channels.py", "dynamics.py", "observables.py", "model.py"} <= set(kernel)
+    for name in kernel:
+        with open(os.path.join(package, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):  # "from . import oracles" reads ".oracles"
+                imported = [f"{node.module or ''}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            assert not any("oracles" in module.split(".") for module in imported), name
+    for name in ORACLE_NAMES:
+        assert getattr(qtransistor, name) is getattr(oracles, name), name
+        assert name in qtransistor.__all__
 
 
 class TestEvolvePopulations:
