@@ -10,7 +10,9 @@ order of channels.TRANSITIONS) and W's off-diagonal rates as (N, 8, 8).
 One GTH state reduction gives every steady state, dark-pinned ones
 included, and its factors also give the steady-state derivatives behind
 the amplification factors; currents and the residual max|W p| come from
-the table's rows.  Nothing in it loops over points or channels.
+the table's rows.  Nothing in it loops over points or channels, and the
+batch keeps its shape: row n of every kernel array is point n, a point
+that fails goes through the same pass, and its result rows are NaN.
 rate_matrix, steady_state and (in observables) heat_currents and
 amplification_factor are its N = 1 calls.  The table reads its rows from
 channels.transition_rows, as channels_analytic does, and its Bose
@@ -33,6 +35,8 @@ from .model import RESERVOIRS, ParameterError, SystemParams, input_rows
 
 # 0-based index of the eigenstate that decouples at lambda = (1, 1, 1)
 DARK_STATE = 3
+# the eigenstates a DriveSpec rotates: the dark state and the top state 7
+DRIVEN_PAIR = (DARK_STATE, 7)
 
 
 class SteadyStateError(ValueError):
@@ -316,14 +320,12 @@ def _raise_first(errors: Sequence[Exception | None]) -> None:
 
 
 class _Steady(NamedTuple):
-    """The first stage of `solve`: tables, steady states and `_gth`'s results."""
+    """The first stage of `solve`: steady states and `_gth`'s results; row n is point n."""
 
-    table: _Table
     populations: np.ndarray
     failures: _Failures
-    solved: np.ndarray      # (M,) the points `_gth` solved, which did not fail
-    factors: np.ndarray     # (M, 8, 8) `_gth`'s factors of their generators
-    stationary: np.ndarray  # (M, 8) `_gth`'s stationary vectors, before any dark pin
+    factors: np.ndarray     # (N, 8, 8) `_gth`'s factors of the generators
+    stationary: np.ndarray  # (N, 8) `_gth`'s stationary vectors, before any dark pin
 
 
 def _steady(t: _Table, undefined: np.ndarray, dark: np.ndarray, pinned: np.ndarray,
@@ -335,15 +337,16 @@ def _steady(t: _Table, undefined: np.ndarray, dark: np.ndarray, pinned: np.ndarr
     A dark state is solved only where it is pinned; it has no rates and is
     drained 3 -> 0 at unit rate, as steady_state describes (its rate there
     is exactly 0.0, so adding dark sets it to 1.0 and adds +0.0 elsewhere).
-    One count finds any missing, superfluous or out-of-range pin and any
-    undefined nbar; only then are the errors recorded, in that order, and
-    the other points picked out.  The pins are restored on whole arrays, a
-    failed point's NaN row staying NaN; where every point is solved and
-    none is pinned, `_gth`'s results are the populations: the pins would
+    Every point goes through `_gth`, failed ones included, so row n of
+    every array is point n; each point's arithmetic is its own.  One count
+    finds any missing, superfluous or out-of-range pin and any undefined
+    nbar; only then, or where a state has no outflow, are the errors
+    recorded, in that order, and a failed point's row set to NaN.  The
+    pins are restored on whole arrays, a NaN row staying NaN; where no
+    point is pinned, `_gth`'s results are the populations: the pins would
     scale them by 1 - 0 and add 0, which changes no bit.
     """
-    n_points = len(dark)
-    failures = _Failures(n_points)
+    failures = _Failures(len(dark))
     W = _rates(t.down, t.up)
     pins = np.count_nonzero(pinned)
     invalid = dark != pinned  # a pin missing or superfluous
@@ -351,10 +354,8 @@ def _steady(t: _Table, undefined: np.ndarray, dark: np.ndarray, pinned: np.ndarr
         out_of_range = ~((rho44 >= 0.0) & (rho44 <= 1.0))
         invalid |= out_of_range
         W[:, 0, DARK_STATE] += dark
-    every_point = not np.count_nonzero(invalid | undefined)
-    if every_point:
-        points, A = np.arange(n_points), W
-    else:
+    q, stuck = _gth(W)
+    if np.count_nonzero(invalid | undefined) or stuck is not None:
         failures.record(dark & ~pinned, UnderdeterminedError,
                         "fully common coupling leaves the dark-state population free; "
                         "supply rho44_init")
@@ -364,26 +365,16 @@ def _steady(t: _Table, undefined: np.ndarray, dark: np.ndarray, pinned: np.ndarr
             failures.record(pinned & out_of_range, ParameterError,
                             "rho44_init must lie in [0, 1]")
         failures.record(undefined, ParameterError, _NBAR_UNDEFINED)
-        points = failures.ok.nonzero()[0]
-        A = W[points]
-    q, stuck = _gth(A)
-    if stuck is not None:
-        keep = stuck < 0
-        for n, k in zip(points[~keep], stuck[~keep]):
-            failures.errors[n] = SteadyStateError(f"state {k} has no outflow to the states "
-                                                  "below it")
-        failures.ok[points[~keep]] = False
-        points, A, q = points[keep], A[keep], q[keep]
-        every_point = False
-    if every_point and not pins:
-        return _Steady(t, q, failures, points, A, q)
+        if stuck is not None:
+            for k in np.unique(stuck[stuck >= 0]):
+                failures.record(stuck == k, SteadyStateError,
+                                f"state {k} has no outflow to the states below it")
+        q = np.where(failures.ok[:, None], q, np.nan)
     p = q
-    if not every_point:  # failed rows stay NaN through the restore
-        p = np.full((n_points, 8), np.nan)
-        p[points] = q
-    p = p * (1.0 - rho44[:, None])
-    p[:, DARK_STATE] += rho44
-    return _Steady(t, p, failures, points, A, q)
+    if pins:
+        p = q * (1.0 - rho44[:, None])
+        p[:, DARK_STATE] += rho44
+    return _Steady(p, failures, W, q)
 
 
 class Solution(NamedTuple):
@@ -451,7 +442,8 @@ def _solve(
     """
     if control is not None and control not in RESERVOIRS:
         raise ParameterError("control terminal must be one of 'L', 'M', 'R'")
-    t, p, failures, solved, factors, stationary = _steady(*_table(x), _dark(x), pinned, rho44)
+    t, undefined = _table(x)
+    p, failures, factors, stationary = _steady(t, undefined, _dark(x), pinned, rho44)
     currents, residual = _heat(t, p)
 
     alpha = np.full((len(p), 2), np.nan)
@@ -459,8 +451,7 @@ def _solve(
         on = ROW_RESERVOIR == RESERVOIRS.index(control)
         d_rate = np.where(on, t.rate * t.nbar * (t.nbar + 1.0) * t.omega / (t.T * t.T), 0.0)
         d_flow = _flow(d_rate, d_rate, p)
-        dp = np.zeros_like(p)
-        dp[solved] = _derivative(factors, stationary, -_rate_of_change(d_flow)[solved])
+        dp = _derivative(factors, stationary, -_rate_of_change(d_flow))
         heat = np.concatenate([_row_heat(t, _flow(t.down, t.up, dp)), _row_heat(t, d_flow)],
                               axis=2)
         dQ, size = heat.sum(axis=2), np.abs(heat).sum(axis=2)
@@ -527,7 +518,7 @@ def _check_density_matrix(rho: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DriveSpec:
-    """Resonant two-level drive between a pair of eigenstates.
+    """Resonant two-level drive between the eigenstates of DRIVEN_PAIR.
 
     Omega is the driving strength, delta_t the pulse duration; the drive is
     treated as instantaneous on dissipative timescales and therefore as a
@@ -536,7 +527,6 @@ class DriveSpec:
 
     Omega: float
     delta_t: float
-    pair: tuple[int, int] = (3, 7)
 
     def __post_init__(self):
         # each chained comparison is False for nan, so it also rejects nan
@@ -546,14 +536,11 @@ class DriveSpec:
         if not 0 <= self.delta_t < math.inf:
             raise ParameterError(f"drive duration delta_t = {self.delta_t} "
                                  "must be non-negative and finite")
-        a, b = self.pair
-        if not (a != b and all(isinstance(k, (int, np.integer)) and 0 <= k < 8 for k in (a, b))):
-            raise ParameterError("driven pair must be two distinct indices in 0..7")
 
 
 def drive_unitary(drive: DriveSpec) -> np.ndarray:
     """8x8 unitary exp(i Omega delta_t (|a><b| + |b><a|)) on the driven pair."""
-    a, b = drive.pair
+    a, b = DRIVEN_PAIR
     theta = drive.Omega * drive.delta_t
     U = np.eye(8, dtype=complex)
     U[a, a] = U[b, b] = math.cos(theta)
@@ -568,7 +555,7 @@ def apply_drive(state: np.ndarray, drive: DriveSpec) -> np.ndarray:
     a density matrix is conjugated by the full pair unitary.
     """
     state = np.asarray(state)
-    a, b = drive.pair
+    a, b = DRIVEN_PAIR
     if state.ndim == 1:
         p = _check_populations(state).copy()
         c2 = math.cos(drive.Omega * drive.delta_t) ** 2

@@ -33,6 +33,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .dynamics import (
+    DRIVEN_PAIR,
     DegenerateControlError,
     DriveSpec,
     Solution,
@@ -353,7 +354,7 @@ class ModulationReport:
 
     rho44_before: float
     currents_before: HeatCurrentTriple
-    times: np.ndarray            # one Rabi period of the driven pair
+    times: np.ndarray            # one Rabi period of the driven pair in 201 samples
     rho44_trajectory: np.ndarray
     rho44_after: float
     currents_after: HeatCurrentTriple
@@ -365,7 +366,6 @@ def run_modulation(
     params: SystemParams,
     drive: DriveSpec,
     rho44_initial: float,
-    trajectory_points: int = 201,
 ) -> ModulationReport:
     """Drive the dark-state pair and report the re-relaxed heat currents.
 
@@ -382,8 +382,8 @@ def run_modulation(
     q_before = _currents_of(before, 0)
 
     period = math.pi / drive.Omega
-    times = np.linspace(0.0, period, trajectory_points)
-    a, b = drive.pair
+    times = np.linspace(0.0, period, 201)
+    a, b = DRIVEN_PAIR
     phases = drive.Omega * times
     rho44_traj = p_before[a] * np.cos(phases) ** 2 + p_before[b] * np.sin(phases) ** 2
 

@@ -220,7 +220,8 @@ def analytic_eigensystem(params: SystemParams) -> EigenSystem:
     states related by flipping all three qubits.
     """
     eigenvalues, beta = closed_forms(input_rows([params]))
-    angles = MixingAngles(*beta[0].tolist(), beta_4=mixing_angle(0.0, params.g))
+    # the central doublet has beta_4 = pi/4 for every g (see mixing_angle)
+    angles = MixingAngles(*beta[0].tolist(), beta_4=0.25 * math.pi)
     (cR, cL, cM, c4), (sR, sL, sM, s4) = np.cos(angles), np.sin(angles)
 
     V = np.column_stack([
@@ -243,11 +244,11 @@ def bohr_frequencies(eigenvalues: np.ndarray) -> np.ndarray:
     return np.sort(pos)
 
 
-def min_distinct_bohr_gap(eigenvalues: np.ndarray, zero_tol: float = 1e-12) -> float:
+def min_distinct_bohr_gap(eigenvalues: np.ndarray) -> float:
     """Smallest gap between distinct positive Bohr frequencies.
 
-    Frequencies closer than zero_tol count as one; returns inf when fewer
-    than two distinct frequencies exist.
+    Frequencies closer than 1e-12 max(largest frequency, 1) count as one;
+    returns inf when fewer than two distinct frequencies exist.
     """
     freqs = bohr_frequencies(eigenvalues)
     if freqs.size == 0:
@@ -255,7 +256,7 @@ def min_distinct_bohr_gap(eigenvalues: np.ndarray, zero_tol: float = 1e-12) -> f
     scale = max(freqs[-1], 1.0)
     distinct = [freqs[0]]
     for f in freqs[1:]:
-        if f - distinct[-1] > zero_tol * scale:
+        if f - distinct[-1] > 1e-12 * scale:
             distinct.append(f)
     if len(distinct) < 2:
         return math.inf
