@@ -49,7 +49,6 @@ from .observables import (
 )
 from .oracles import (
     FrequencyAmbiguityError,
-    IntegrationError,
     SingularDenominatorError,
     closed_form_discrepancy,
     closed_form_populations,
@@ -74,7 +73,6 @@ __all__ = [
     "EigenSystem",
     "FrequencyAmbiguityError",
     "HeatCurrentTriple",
-    "IntegrationError",
     "LambdaScan",
     "MixingAngles",
     "ModulationReport",

@@ -138,6 +138,8 @@ class SweepSpec:
             raise ConfigError(f"sweep range lo = {self.lo}, hi = {self.hi} must be finite")
         if not self.lo < self.hi:
             raise ConfigError("sweep range must satisfy lo < hi")
+        if not float(self.points).is_integer():
+            raise ConfigError(f"sweep points = {self.points} is not an integer")
         if self.points < 2:
             raise ConfigError("a sweep needs at least 2 points")
         if self.control not in RESERVOIRS:
@@ -151,7 +153,7 @@ class SweepSpec:
             raise ConfigError(f"unknown outputs {sorted(unknown)}")
 
     def values(self) -> np.ndarray:
-        return np.linspace(self.lo, self.hi, self.points)
+        return np.linspace(self.lo, self.hi, int(self.points))
 
     def resolve(self, value: float) -> tuple[SystemParams, float | None]:
         """Parameters and dark-state pin at one grid point."""

@@ -37,7 +37,7 @@ from qtransistor import dynamics, heat_currents
 from qtransistor.channels import ROW_RESERVOIR, channels_analytic
 from qtransistor.dynamics import solve
 from qtransistor.model import input_rows
-from qtransistor.oracles import relaxation_horizon, slowest_relaxation_rate
+from qtransistor.oracles import _propagate, relaxation_horizon, slowest_relaxation_rate
 
 from conftest import COLD, DARK_CROSSOVER_U, near_dark, random_params
 
@@ -591,17 +591,28 @@ class TestRelaxation:
         assert slowest_relaxation_rate(W) == pytest.approx(rates[2], rel=1e-9)
 
 
-def test_package_import_leaves_scipy_unloaded():
-    # only the oracle integrators need SciPy, and they import it themselves
+def test_oracle_propagators_run_without_scipy():
+    # runtime needs numpy only: both propagators run with SciPy unimportable
     src = os.path.dirname(os.path.dirname(qtransistor.__file__))
-    code = "import sys, qtransistor, qtransistor.cli; print('scipy.integrate' in sys.modules)"
+    code = """if True:
+        import sys
+        sys.modules["scipy"] = None
+        import numpy as np
+        from qtransistor import SystemParams, evolve_density_matrix, evolve_populations
+        fig2 = SystemParams(30.0, 1.0, 0.1, 5.0, 1.0, 0.5, 0.002, 0.002, 0.002, 0.7, 0.7, 0.7)
+        t = np.array([0.0, 1.0, 2.0])
+        p = evolve_populations(fig2, np.eye(8)[0], t)
+        rho = evolve_density_matrix(fig2, np.diag(np.eye(8)[0]).astype(complex), t)
+        print(p.shape, rho.shape)
+    """
     run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True, env={**os.environ, "PYTHONPATH": src})
-    assert run.stdout.strip() == "False"
+                         env={**os.environ, "PYTHONPATH": src})
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "(3, 8) (3, 8, 8)"
 
 
 ORACLE_NAMES = (
-    "FrequencyAmbiguityError", "IntegrationError", "SingularDenominatorError",
+    "FrequencyAmbiguityError", "SingularDenominatorError",
     "closed_form_discrepancy", "closed_form_populations", "decompose_numeric",
     "dissipator_superoperator", "evolve_density_matrix", "evolve_populations",
     "heat_currents_trace", "jump_operators", "positive_frequency_part",
@@ -668,6 +679,30 @@ class TestEvolvePopulations:
     def test_rejects_bad_populations(self, fig2_params):
         with pytest.raises(ParameterError):
             evolve_populations(fig2_params, np.full(8, 0.25), np.array([0.0, 1.0]))
+
+
+def mp_expm(A, digits=40):
+    """exp(A) of the double matrix A, to `digits` significant digits."""
+    with mpmath.workdps(digits):
+        return np.array(mpmath.expm(mpmath.matrix(A.tolist())).tolist(), dtype=float)
+
+
+class TestPropagator:
+    def test_exponential_matches_mpmath(self, fig2_params, dark_params):
+        # 40-digit exp(W dt) of the same double matrix W dt; at the 12-decade
+        # horizon |W dt|_1 reaches 4.8e3 on these points, where the largest
+        # error is 5.2e-14, and at most 6.7e-14 on 200 draws of this seed
+        rng = np.random.default_rng(11)
+        for params in [fig2_params, dark_params, *(random_params(rng) for _ in range(10))]:
+            W = rate_matrix(params)
+            horizon = relaxation_horizon(W, decades=12)
+            for dt in (horizon / 50, horizon):
+                E = _propagate(W, np.eye(8), np.array([0.0, dt]))[-1]
+                assert np.max(np.abs(E - mp_expm(W * dt))) < 2e-13
+
+    def test_one_point_grid_returns_the_initial_state(self, fig2_params):
+        p0 = np.eye(8)[2]
+        np.testing.assert_array_equal(evolve_populations(fig2_params, p0, [3.0]), [p0])
 
 
 class TestEvolveDensityMatrix:

@@ -135,6 +135,11 @@ class TestSweepSpec:
         with pytest.raises(ConfigError, match="sweep range lo = .* must be finite"):
             SweepSpec(base=fig2_params, axis="T_M", lo=lo, hi=hi, points=5)
 
+    @pytest.mark.parametrize("points", [2.5, math.inf, math.nan])
+    def test_non_integral_points_rejected(self, fig2_params, points):
+        with pytest.raises(ConfigError, match="sweep points = .* is not an integer"):
+            SweepSpec(base=fig2_params, axis="T_M", lo=0.5, hi=1.5, points=points)
+
     def test_rho44_axis_resolution(self, dark_params):
         spec = SweepSpec(base=dark_params, axis="rho44_init", lo=0.0, hi=0.9,
                          points=4, outputs=("currents",))

@@ -18,7 +18,9 @@ from qtransistor import (
     steady_state,
 )
 
-from conftest import DARK_CROSSOVER_U, random_params
+from qtransistor.dynamics import solve
+
+from conftest import COLD, DARK_CROSSOVER_U, near_dark, random_params
 
 
 def central_difference_alpha_L(params, control, dT):
@@ -99,6 +101,31 @@ class TestHeatCurrents:
     def test_accepts_a_list_of_populations(self, fig2_params):
         p = steady_state(fig2_params)
         assert heat_currents(fig2_params, p.tolist()) == heat_currents(fig2_params, p)
+
+
+def entropy_production(params):
+    """sigma = -sum_nu Q_nu / T_nu at the steady state of each point, Q
+    counted positive into the system."""
+    sol = solve(params)
+    assert all(error is None for error in sol.errors)
+    return -np.sum(sol.currents / np.array([[p.T_L, p.T_M, p.T_R] for p in params]), axis=1)
+
+
+class TestSecondLaw:
+    # each bath is in equilibrium, so the steady entropy production of the
+    # global master equation is >= 0 (Spohn, J. Math. Phys. 19 (1978) 1227):
+    # a check with no tolerance
+
+    def test_validated_draws(self):
+        # the smallest sigma / max|Q_nu / T_nu| here is 0.014
+        rng = np.random.default_rng(11)
+        assert np.all(entropy_production([random_params(rng) for _ in range(2000)]) >= 0.0)
+
+    @pytest.mark.parametrize("cold", [False, True])
+    def test_dark_crossover(self, fig2_params, cold):
+        # the smallest sigma / max|Q_nu / T_nu| here is 0.89
+        base = fig2_params.replace(**COLD) if cold else fig2_params
+        assert np.all(entropy_production([near_dark(base, u) for u in DARK_CROSSOVER_U]) >= 0.0)
 
 
 class TestAmplification:
