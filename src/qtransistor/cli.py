@@ -22,15 +22,17 @@ from __future__ import annotations
 import argparse
 import sys
 
+import numpy as np
+
 from .channels import channel_table, channels_analytic
 from .experiments import (
-    CELL_FORMAT,
     ConfigError,
     _get_float,
     _get_int,
     drive_from_config,
     error_text,
     fmt,
+    format_rows,
     load_config,
     params_from_config,
     run_modulation,
@@ -129,9 +131,8 @@ def _cmd_modulate(args) -> int:
     ]
     write_lines(lines, args.out)
     if args.trajectory_out is not None:
-        row = f"{CELL_FORMAT},{CELL_FORMAT}"
-        pairs = zip(report.times.tolist(), report.rho44_trajectory.tolist())
-        write_lines(["t,rho44", *(row % pair for pair in pairs)], args.trajectory_out)
+        rows = format_rows(np.column_stack([report.times, report.rho44_trajectory]))
+        write_lines(["t,rho44", *rows], args.trajectory_out)
     return EXIT_OK
 
 

@@ -11,9 +11,12 @@ operating points in one call (run_modulation in two, as its second state
 depends on the first).  No object is built per grid point: run_sweep
 returns the sweep as columns (SweepResult: grid values, input rows, pins,
 the kernel's Solution and the secular-pass column of
-model.secular_checks), and sweep_rows formats each CSV row straight from
-them with one row format, CELL_FORMAT per number and blanks for the
-numbers a point lacks.  write_lines writes all text, to stdout or in
+model.secular_checks), and sweep_rows formats the CSV straight from
+them.  Every table of numbers (sweep, population and trajectory rows) is
+formatted as one array by format_rows (qtransistor.cells, imported at
+the first table written), byte for byte CELL_FORMAT per number, with
+blanks for the numbers a sweep point lacks; fmt formats the single
+numbers of a report.  write_lines writes all text, to stdout or in
 place over a file.  Every output row carries the resolved inputs needed to
 reproduce it, numbers are written with 17 significant digits and no
 timestamps enter the data, so identical configs yield bit-identical
@@ -85,6 +88,18 @@ CELL_FORMAT = "%.16e"
 def fmt(value: float) -> str:
     """One number in CELL_FORMAT."""
     return CELL_FORMAT % value
+
+
+def format_rows(numbers: np.ndarray) -> list[str]:
+    """Row n of the 2-D numbers as its cells in CELL_FORMAT, joined by commas.
+
+    Byte for byte ",".join(CELL_FORMAT % v for v in row), computed on all
+    cells at once by qtransistor.cells, which is imported at the first
+    table written rather than with this module.
+    """
+    from .cells import format_rows
+
+    return format_rows(numbers)
 
 
 # no O_TRUNC: see write_lines
@@ -324,11 +339,6 @@ def error_text(error: Exception) -> str:
     return f"{type(error).__name__}: {error}"
 
 
-# the 14 numbers of a sweep row: axis value, Q_L, Q_M, Q_R, alpha_L, alpha_R
-# and the 8 populations
-_SWEEP_ROW = ",".join([CELL_FORMAT] * 14)
-
-
 def sweep_rows(result: SweepResult) -> list[str]:
     """The CSV rows of a sweep; a number the point lacks (NaN) is a blank cell.
 
@@ -339,10 +349,9 @@ def sweep_rows(result: SweepResult) -> list[str]:
     currents = sol.currents if "currents" in result.outputs else np.full_like(sol.currents, np.nan)
     numbers = np.column_stack([result.values, currents, sol.alpha, sol.populations])
     rows = []
-    for cells, error, passed in zip(numbers.tolist(), sol.errors, result.secular.tolist()):
+    for cells, error, passed in zip(format_rows(numbers), sol.errors, result.secular.tolist()):
         error = "" if error is None else error_text(error).replace(",", ";")
-        rows.append(f"{(_SWEEP_ROW % tuple(cells)).replace('nan', '')},"
-                    f"{'PASS' if passed else 'WARN'},{error}")
+        rows.append(f"{cells.replace('nan', '')},{'PASS' if passed else 'WARN'},{error}")
     return rows
 
 
@@ -457,12 +466,9 @@ POPULATION_CSV_HEADER = (
 )
 
 
-_POPULATION_ROW = ",".join([CELL_FORMAT] * 17)
-
-
 def population_rows(curves: PopulationCurves) -> list[str]:
-    table = np.column_stack([curves.axis_values, curves.populations, curves.difference])
-    return [_POPULATION_ROW % tuple(row) for row in table.tolist()]
+    return format_rows(np.column_stack([curves.axis_values, curves.populations,
+                                        curves.difference]))
 
 
 def write_population_csv(curves: PopulationCurves, path: str | None) -> None:

@@ -5,7 +5,14 @@ import numpy as np
 import pytest
 
 from qtransistor.cli import main
-from qtransistor.experiments import CSV_HEADER
+from qtransistor.experiments import (
+    CELL_FORMAT,
+    CSV_HEADER,
+    drive_from_config,
+    load_config,
+    params_from_config,
+    run_modulation,
+)
 from qtransistor.presets import PRESETS
 
 
@@ -156,6 +163,18 @@ def test_modulate_subcommand(tmp_path, capsys):
     rows = traj.read_text().splitlines()
     assert rows[0] == "t,rho44"
     assert len(rows) == 202
+
+
+def test_trajectory_rows_equal_the_cell_by_cell_route(tmp_path):
+    traj = tmp_path / "traj.csv"
+    assert main(["modulate", "--config", "fig8", "--out", str(tmp_path / "report.txt"),
+                 "--trajectory-out", str(traj)]) == 0
+    cfg = load_config("fig8")
+    report = run_modulation(params_from_config(cfg), drive_from_config(cfg),
+                            float(cfg["rho44_init"]))
+    rows = [f"{CELL_FORMAT % t},{CELL_FORMAT % r}"
+            for t, r in zip(report.times.tolist(), report.rho44_trajectory.tolist())]
+    assert traj.read_text() == "\n".join(["t,rho44", *rows]) + "\n"
 
 
 def test_populations_subcommand(tmp_path):

@@ -1,10 +1,16 @@
 import dataclasses
 import itertools
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import qtransistor
 from qtransistor import (
     ConfigError,
     DarkStateError,
@@ -21,11 +27,14 @@ from qtransistor import (
 )
 from qtransistor.dynamics import solve
 from qtransistor.experiments import (
+    CELL_FORMAT,
     CSV_HEADER,
     error_text,
+    format_rows,
     load_config,
     params_from_config,
     parse_config,
+    population_rows,
     sweep_from_config,
     sweep_rows,
 )
@@ -390,3 +399,76 @@ class TestGridBuilder:
             run_sweep(spec)
         with pytest.raises(ParameterError, match=r"^lambda1 = 1\.5 outside \[0, 1\]$"):
             run_populations(fig2_params, lo=0.5, hi=1.5, points=3, compare_lambda1=1.5)
+
+
+def cell_rows(numbers):
+    """The rows of a 2-D array formatted cell by cell with CELL_FORMAT."""
+    return [",".join(CELL_FORMAT % v for v in row)
+            for row in np.asarray(numbers, dtype=float).tolist()]
+
+
+def special_floats():
+    """Every power of ten and its two neighbours, every power of two, the
+    subnormal and normal extremes, signed zeros, NaN, the infinities, and
+    the multiples k 2^-25, among them 17-digit ties."""
+    tens = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    values = np.concatenate([
+        tens, np.nextafter(tens, 0.0), np.nextafter(tens, np.inf),
+        np.ldexp(1.0, np.arange(-1074, 1024)),
+        [0.0, 5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308, 1.7976931348623157e308,
+         np.nan, np.inf],
+        np.arange(1, 20001) * 2.0 ** -25,
+    ])
+    return np.concatenate([values, -values])
+
+
+class TestFormatRows:
+    """The vectorised writer against CELL_FORMAT cell by cell.
+
+    pytest turns every RuntimeWarning into an error, so these runs also show
+    that zero, NaN and the infinities reach no log10 and no cast."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(rows=st.integers(1, 4).flatmap(
+               lambda width: st.lists(st.lists(st.floats(), min_size=width, max_size=width),
+                                      min_size=1, max_size=6)))
+    def test_any_floats(self, rows):
+        assert format_rows(np.array(rows)) == cell_rows(rows)
+
+    @pytest.mark.parametrize("width", [1, 7])
+    def test_special_values(self, width):
+        values = special_floats()
+        values = values[:values.size // width * width].reshape(-1, width)
+        assert format_rows(values) == cell_rows(values)
+
+    def test_random_bit_patterns(self):
+        rng = np.random.default_rng(22)
+        numbers = rng.integers(0, 2 ** 64, (100_000, 10), np.uint64, endpoint=False)
+        assert format_rows(numbers.view(np.float64)) == cell_rows(numbers.view(np.float64))
+        # about a fifth of those lie in the fast path's range, 1e-98 to 1e16;
+        # random 53-bit significands scaled into it
+        numbers = rng.integers(2 ** 52, 2 ** 53, (20_000, 10)) * np.ldexp(
+            rng.choice([-1.0, 1.0], (20_000, 10)), rng.integers(-377, 1, (20_000, 10)))
+        assert format_rows(numbers) == cell_rows(numbers)
+
+    def test_no_rows(self):
+        assert format_rows(np.empty((0, 3))) == []
+
+    def test_importing_the_package_leaves_the_writer_unloaded(self):
+        # qtransistor.cells is compiled at the first table written
+        src = os.path.dirname(os.path.dirname(qtransistor.__file__))
+        code = "import sys, qtransistor.cli; print('qtransistor.cells' in sys.modules)"
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": src})
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.strip() == "False"
+
+    def test_population_rows_equal_the_cell_by_cell_route(self):
+        cfg = load_config("fig6")
+        curves = run_populations(params_from_config(cfg), lo=float(cfg["lo"]),
+                                 hi=float(cfg["hi"]), points=int(cfg["points"]),
+                                 compare_lambda1=float(cfg["compare_lambda1"]))
+        rows = [",".join(CELL_FORMAT % v for v in (value, *pops, *(pops - cmp)))
+                for value, pops, cmp in zip(curves.axis_values.tolist(), curves.populations,
+                                            curves.populations_compare)]
+        assert population_rows(curves) == rows
