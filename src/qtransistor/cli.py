@@ -12,9 +12,11 @@ command writes to stdout, and validate always does.  Each command solves
 all of its operating points in one batched call (see
 qtransistor.dynamics.solve), and a sweep's CSV rows are formatted from
 that call's columns (experiments.SweepResult); the argument parser is
-built once, when the module is imported.  Exit codes: 0 success, 2 invalid
-configuration (a config file that is not UTF-8 included) or unwritable
-output, 3 every sweep point failed.
+built once, when the module is imported.  populations reads its T_M grid
+as sweep does (sweep_from_config).  Exit codes: 0 success, 2 invalid
+configuration (a config file that is not UTF-8 included), unwritable
+output, or a point that populations or modulate cannot solve (a domain
+error of the kernel, SteadyStateError), 3 every sweep point failed.
 """
 
 from __future__ import annotations
@@ -25,10 +27,10 @@ import sys
 import numpy as np
 
 from .channels import channel_table, channels_analytic
+from .dynamics import SteadyStateError
 from .experiments import (
     ConfigError,
     _get_float,
-    _get_int,
     drive_from_config,
     error_text,
     fmt,
@@ -138,18 +140,10 @@ def _cmd_modulate(args) -> int:
 
 def _cmd_populations(args) -> int:
     cfg = load_config(args.config)
-    params = params_from_config(cfg)
-    if "axis" in cfg and cfg["axis"] != "T_M":
-        raise ConfigError("the populations command sweeps T_M only")
-    points = args.points if args.points is not None else _get_int(cfg, "points", 50)
-    curves = run_populations(
-        params,
-        lo=_get_float(cfg, "lo", 0.02),
-        hi=_get_float(cfg, "hi", 3.0),
-        points=points,
-        compare_lambda1=_get_float(cfg, "compare_lambda1", 0.0),
-        rho44_init=_get_float(cfg, "rho44_init") if "rho44_init" in cfg else None,
-    )
+    if args.points is not None:
+        cfg["points"] = str(args.points)
+    spec = sweep_from_config(cfg)
+    curves = run_populations(spec, _get_float(cfg, "compare_lambda1", 0.0))
     write_population_csv(curves, args.out)
     return EXIT_OK
 
@@ -196,7 +190,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _PARSER.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ConfigError, ParameterError, OSError) as exc:
+    except (ConfigError, ParameterError, SteadyStateError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_CONFIG
 

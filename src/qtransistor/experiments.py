@@ -2,13 +2,15 @@
 
 A run is defined by a flat key = value config (one assignment per line,
 '#' comments): the SystemParams fields (or a common 'gamma') plus a sweep
-axis.  A sweep stays in columns from grid to CSV: `_grid` repeats the base
-point's kernel input row and writes the swept columns (the grid of every
-SweepSpec, of the population curves and of optimize_lambda's scans),
-one vectorised check (model.check_rows) validates all rows, and the
-batched kernel dynamics._solve takes them as they are, all of a command's
-operating points in one call (run_modulation in two, as its second state
-depends on the first).  No object is built per grid point: run_sweep
+axis.  SweepSpec (sweep_from_config) is the one description of a grid; the
+population curves are a T_M SweepSpec solved at two lambda1 values.  A
+sweep stays in columns from grid to CSV: `_grid` repeats the base point's
+kernel input row and writes the swept columns (the grid of every
+SweepSpec and of optimize_lambda's scans), one vectorised check
+(model.check_rows) validates all rows, and the batched kernel
+dynamics._solve takes them as they are, all of a command's operating
+points in one call (run_modulation in two, as its second state depends on
+the first).  No object is built per grid point: run_sweep
 returns the sweep as columns (SweepResult: grid values, input rows, pins,
 the kernel's Solution and the secular-pass column of
 model.secular_checks), and sweep_rows formats the CSV straight from
@@ -157,6 +159,7 @@ class SweepSpec:
             raise ConfigError(f"sweep points = {self.points} is not an integer")
         if self.points < 2:
             raise ConfigError("a sweep needs at least 2 points")
+        object.__setattr__(self, "points", int(self.points))
         if self.control not in RESERVOIRS:
             raise ConfigError("control terminal must be 'L', 'M' or 'R'")
         if self.axis == "rho44_init" and not self.base.fully_common:
@@ -168,7 +171,7 @@ class SweepSpec:
             raise ConfigError(f"unknown outputs {sorted(unknown)}")
 
     def values(self) -> np.ndarray:
-        return np.linspace(self.lo, self.hi, int(self.points))
+        return np.linspace(self.lo, self.hi, self.points)
 
     def resolve(self, value: float) -> tuple[SystemParams, float | None]:
         """Parameters and dark-state pin at one grid point."""
@@ -433,23 +436,22 @@ class PopulationCurves:
         return self.populations - self.populations_compare
 
 
-def run_populations(
-    params: SystemParams,
-    lo: float,
-    hi: float,
-    points: int,
-    compare_lambda1: float = 0.0,
-    rho44_init: float | None = None,
-) -> PopulationCurves:
-    """Steady populations versus T_M for the base and a comparison lambda1."""
-    values = SweepSpec(params, "T_M", lo, hi, points, rho44_init=rho44_init).values()
-    x, pinned, rho44 = _grid(params, {
+def run_populations(spec: SweepSpec, compare_lambda1: float = 0.0) -> PopulationCurves:
+    """Steady populations along spec's T_M grid, at spec.base and at compare_lambda1.
+
+    Both curves are solved in one batch; the first point that fails raises
+    its domain error.  A spec on any axis but T_M raises ConfigError.
+    """
+    if spec.axis != "T_M":
+        raise ConfigError("the populations command sweeps T_M only")
+    values = spec.values()
+    x, pinned, rho44 = _grid(spec.base, {
         "T_M": np.tile(values, 2),
-        "lambda1": np.repeat([params.lambda1, compare_lambda1], points),
-    }, rho44_init)
+        "lambda1": np.repeat([spec.base.lambda1, compare_lambda1], spec.points),
+    }, spec.rho44_init)
     sol = _solve(x, pinned, rho44)
     _raise_first(sol.errors)
-    pops, pops_cmp = sol.populations[:points], sol.populations[points:]
+    pops, pops_cmp = sol.populations[:spec.points], sol.populations[spec.points:]
     return PopulationCurves(
         axis_values=values,
         populations=pops,
@@ -522,13 +524,6 @@ def _get_float(cfg: dict[str, str], key: str, default: float | None = None) -> f
         raise ConfigError(f"key {key!r} is not a number: {text!r}") from None
 
 
-def _get_int(cfg: dict[str, str], key: str, default: int | None = None) -> int:
-    value = _get_float(cfg, key, default)
-    if not float(value).is_integer():
-        raise ConfigError(f"key {key!r} is not an integer: {cfg[key]!r}")
-    return int(value)
-
-
 def params_from_config(cfg: dict[str, str]) -> SystemParams:
     """SystemParams from the config: each gamma_* falls back to 'gamma', each
     field with a default (the lambdas) to that default; the rest are required."""
@@ -561,7 +556,7 @@ def sweep_from_config(cfg: dict[str, str]) -> SweepSpec:
         axis=_required(cfg, "axis"),
         lo=_get_float(cfg, "lo"),
         hi=_get_float(cfg, "hi"),
-        points=_get_int(cfg, "points"),
+        points=_get_float(cfg, "points"),
         control=cfg.get("control", "M"),
         outputs=outputs,
         rho44_init=rho44,
@@ -579,10 +574,15 @@ def drive_from_config(cfg: dict[str, str]) -> DriveSpec:
 
 
 def load_config(name_or_path: str) -> dict[str, str]:
-    """Read a config file, or fall back to a shipped preset name."""
+    """Read a config file, or fall back to a shipped preset name.
+
+    A path that exists and is not a directory is a config file (a FIFO or
+    /dev/fd/N included); any other name, a directory too, is looked up
+    among the presets.
+    """
     from .presets import PRESETS
 
-    if os.path.exists(name_or_path):
+    if os.path.exists(name_or_path) and not os.path.isdir(name_or_path):
         try:
             # utf-8-sig also reads a file that starts with a byte-order mark
             with open(name_or_path, encoding="utf-8-sig") as fh:

@@ -1,5 +1,6 @@
 import os
 import stat
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -14,6 +15,8 @@ from qtransistor.experiments import (
     run_modulation,
 )
 from qtransistor.presets import PRESETS
+
+from test_dynamics import without_outflow
 
 
 def test_validate_subcommand(capsys):
@@ -212,6 +215,46 @@ def test_modulate_requires_rho44(tmp_path, capsys):
                    "lambda3 = 1\ndrive_Omega = 0.3\ndrive_duration = 1\n")
     assert main(["modulate", "--config", str(cfg)]) == 2
     assert "rho44_init" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["lo", "hi", "points"])
+def test_populations_config_needs_its_grid(key, tmp_path, capsys):
+    # populations reads its T_M grid as sweep does: no key has a default
+    cfg = tmp_path / "pop.cfg"
+    cfg.write_text("".join(line for line in PRESETS["fig6"].splitlines(keepends=True)
+                           if not line.startswith(f"{key} ")))
+    assert main(["populations", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == f"error: missing required key {key!r}\n"
+
+
+@pytest.mark.parametrize("point, message", [
+    (lambda p: p.replace(lambda1=1.0, lambda2=1.0, lambda3=1.0),
+     "fully common coupling leaves the dark-state population free; supply rho44_init"),
+    (without_outflow, "state 3 has no outflow to the states below it"),
+], ids=["dark", "without_outflow"])
+def test_populations_on_a_point_the_kernel_rejects_exits_2(point, message, fig2_params,
+                                                           tmp_path, capsys):
+    cfg = tmp_path / "pop.cfg"
+    cfg.write_text("".join(f"{name} = {value!r}\n"
+                           for name, value in asdict(point(fig2_params)).items())
+                   + "axis = T_M\nlo = 0.5\nhi = 1.5\npoints = 3\n")
+    assert main(["populations", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_a_directory_named_like_a_preset_leaves_the_preset(tmp_path, monkeypatch, capsysbinary):
+    assert main(["modulate", "--config", "fig8"]) == 0
+    preset = capsysbinary.readouterr().out
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "fig8").mkdir()
+    assert main(["modulate", "--config", "fig8"]) == 0
+    assert capsysbinary.readouterr().out == preset
+
+
+def test_a_directory_is_not_a_config_file(tmp_path, capsys):
+    (tmp_path / "configs").mkdir()
+    assert main(["sweep", "--config", str(tmp_path / "configs")]) == 2
+    assert "is neither a config file nor a preset" in capsys.readouterr().err
 
 
 def test_populations_rejects_other_axis(tmp_path):

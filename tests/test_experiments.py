@@ -149,6 +149,11 @@ class TestSweepSpec:
         with pytest.raises(ConfigError, match="sweep points = .* is not an integer"):
             SweepSpec(base=fig2_params, axis="T_M", lo=0.5, hi=1.5, points=points)
 
+    def test_integral_points_are_stored_as_an_int(self, fig2_params):
+        # a config's points = 3 is read as the float 3.0
+        spec = SweepSpec(base=fig2_params, axis="T_M", lo=0.5, hi=1.5, points=3.0)
+        assert type(spec.points) is int and spec.points == 3
+
     def test_rho44_axis_resolution(self, dark_params):
         spec = SweepSpec(base=dark_params, axis="rho44_init", lo=0.0, hi=0.9,
                          points=4, outputs=("currents",))
@@ -273,7 +278,7 @@ class TestRunModulation:
 class TestRunPopulations:
     def test_curves_normalised_and_top_states_negligible(self, fig2_params):
         params = fig2_params.replace(g=0.7, lambda1=0.9, lambda2=0.0, lambda3=0.0)
-        curves = run_populations(params, lo=0.1, hi=3.0, points=12,
+        curves = run_populations(SweepSpec(params, "T_M", 0.1, 3.0, 12),
                                  compare_lambda1=0.0)
         assert np.max(np.abs(curves.populations.sum(axis=1) - 1.0)) < 1e-12
         assert np.max(curves.populations[:, 6] + curves.populations[:, 7]) < 1e-3
@@ -282,7 +287,11 @@ class TestRunPopulations:
 
     def test_range_validation(self, fig2_params):
         with pytest.raises(ConfigError):
-            run_populations(fig2_params, lo=2.0, hi=1.0, points=5)
+            run_populations(SweepSpec(fig2_params, "T_M", 2.0, 1.0, 5))
+
+    def test_spec_on_another_axis_is_rejected(self, fig2_params):
+        with pytest.raises(ConfigError, match="^the populations command sweeps T_M only$"):
+            run_populations(SweepSpec(fig2_params, "T_L", 1.0, 2.0, 3))
 
 
 SWEEP_PRESETS = [name for name, text in PRESETS.items()
@@ -384,8 +393,8 @@ class TestGridBuilder:
         assert scan.n_failed == sum(error is not None for error in sol.errors)
 
     def test_population_curves_equal_the_per_point_route(self, dark_params):
-        curves = run_populations(dark_params, lo=0.5, hi=2.0, points=4,
-                                 compare_lambda1=0.3, rho44_init=0.2)
+        curves = run_populations(SweepSpec(dark_params, "T_M", 0.5, 2.0, 4, rho44_init=0.2),
+                                 compare_lambda1=0.3)
         values = np.linspace(0.5, 2.0, 4)
         points = [dataclasses.replace(dark_params, lambda1=l1, T_M=v)
                   for l1 in (1.0, 0.3) for v in values]
@@ -398,7 +407,7 @@ class TestGridBuilder:
         with pytest.raises(ParameterError, match=r"^lambda1 = 1\.1 outside \[0, 1\]$"):
             run_sweep(spec)
         with pytest.raises(ParameterError, match=r"^lambda1 = 1\.5 outside \[0, 1\]$"):
-            run_populations(fig2_params, lo=0.5, hi=1.5, points=3, compare_lambda1=1.5)
+            run_populations(SweepSpec(fig2_params, "T_M", 0.5, 1.5, 3), compare_lambda1=1.5)
 
 
 def cell_rows(numbers):
@@ -465,8 +474,7 @@ class TestFormatRows:
 
     def test_population_rows_equal_the_cell_by_cell_route(self):
         cfg = load_config("fig6")
-        curves = run_populations(params_from_config(cfg), lo=float(cfg["lo"]),
-                                 hi=float(cfg["hi"]), points=int(cfg["points"]),
+        curves = run_populations(sweep_from_config(cfg),
                                  compare_lambda1=float(cfg["compare_lambda1"]))
         rows = [",".join(CELL_FORMAT % v for v in (value, *pops, *(pops - cmp)))
                 for value, pops, cmp in zip(curves.axis_values.tolist(), curves.populations,
