@@ -61,34 +61,37 @@ TRANSITIONS = (
 # ROW_I[r] < ROW_J[r] through reservoir RESERVOIRS[ROW_RESERVOIR[r]]
 ROW_I, ROW_J, ROW_RESERVOIR = (np.array(column) for column in zip(*(
     (i, j, RESERVOIRS.index(nu)) for i, j, nu, *_ in TRANSITIONS)))
-_SIGN = np.array([float(row[3]) for row in TRANSITIONS])
+_SIGN = np.array([[float(row[3])] for row in TRANSITIONS])
 _X = np.array([FACTORS.index(row[4]) for row in TRANSITIONS])
 _Y = np.array([FACTORS.index(row[5]) for row in TRANSITIONS])
-_DIVISOR = np.array([math.sqrt(2.0) if row[6] else 1.0 for row in TRANSITIONS])
+_DIVISOR = np.array([[math.sqrt(2.0) if row[6] else 1.0] for row in TRANSITIONS])
 
 
 def transition_amplitudes(cos: np.ndarray, sin: np.ndarray, lambdas: np.ndarray) -> np.ndarray:
-    """(N, 24) channel amplitudes in TRANSITIONS row order.
+    """(24, N) channel amplitudes in TRANSITIONS row order, points on the last axis.
 
-    cos and sin are (N, 3) cosines and sines of the mixing angles
-    (beta_R, beta_L, beta_M), lambdas the (N, 3) common-coupling strengths.
+    cos and sin are (3, N) cosines and sines of the mixing angles
+    (beta_R, beta_L, beta_M), lambdas the (3, N) common-coupling strengths;
+    dynamics._solve passes at most dynamics.CHUNK points.
     """
-    F = np.concatenate([cos, sin[:, 2:0:-1], 1.0 - lambdas, 1.0 + lambdas], axis=1)
-    return _SIGN * (F[:, _X] * F[:, _Y]) / _DIVISOR
+    F = np.concatenate([cos, sin[2:0:-1], 1.0 - lambdas, 1.0 + lambdas])
+    return _SIGN * (F[_X] * F[_Y]) / _DIVISOR
 
 
 def transition_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(N, 24) arrays omega and a of the (N, 12) input rows x, in TRANSITIONS order.
+    """(24, N) arrays omega and a of N points, rows in TRANSITIONS order.
 
-    x holds the SystemParams fields in order.  omega is the Bohr frequency
-    eps_j - eps_i of row (i, j) from model.closed_forms, a the amplitude
-    <eps_i|S_nu|eps_j>; a row carries a rate exactly where a != 0.  The two
-    rows of a channel share omega bit for bit (the same sum or difference
-    of two eigenvalue magnitudes).
+    x holds the points' input rows as columns, (12, N) with rows in
+    model.FIELD_NAMES order; row r of a result is TRANSITIONS[r] for every
+    point (dynamics._solve passes at most dynamics.CHUNK points).  omega
+    is the Bohr frequency eps_j - eps_i of row (i, j) from
+    model.closed_forms, a the amplitude <eps_i|S_nu|eps_j>; a row carries a
+    rate exactly where a != 0.  The two rows of a channel share omega bit
+    for bit (the same sum or difference of two eigenvalue magnitudes).
     """
     eps, beta = closed_forms(x)
-    a = transition_amplitudes(np.cos(beta), np.sin(beta), x[:, 9:12])
-    return eps[:, ROW_J] - eps[:, ROW_I], a
+    a = transition_amplitudes(np.cos(beta), np.sin(beta), x[9:12])
+    return eps[ROW_J] - eps[ROW_I], a
 
 
 def channels_analytic(params: SystemParams) -> list[DissipationChannel]:
@@ -98,8 +101,8 @@ def channels_analytic(params: SystemParams) -> list[DissipationChannel]:
     omega, and only rows with a nonzero amplitude enter its amplitudes and
     operator, so a channel can be empty (possible only at g = 0).
     """
-    omega, a = (column[0].tolist() for column in
-                transition_rows(input_rows([params])))
+    omega, a = (column[:, 0].tolist() for column in
+                transition_rows(input_rows([params]).T))
     channels = []
     for c in range(12):
         amplitudes = tuple((*TRANSITIONS[r][:2], a[r]) for r in (2 * c, 2 * c + 1) if a[r])

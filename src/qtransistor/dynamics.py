@@ -4,15 +4,20 @@ In the energy eigenbasis the populations close on themselves: they obey a
 classical rate equation p' = W p.  One batched kernel, `_solve`, computes
 every per-point number of the package from the (N, 12) input rows of N
 operating points (the SystemParams fields in order) and dark-state pins;
-`solve` is its adapter for a list of SystemParams.  It builds the
-transition table as (N, 24) arrays (a row per channel amplitude, in the
-order of channels.TRANSITIONS) and W's off-diagonal rates as (N, 8, 8).
-One GTH state reduction gives every steady state, dark-pinned ones
-included, and its factors also give the steady-state derivatives behind
-the amplification factors; currents and the residual max|W p| come from
-the table's rows.  Nothing in it loops over points or channels, and the
-batch keeps its shape: row n of every kernel array is point n, a point
-that fails goes through the same pass, and its result rows are NaN.
+`solve` is its adapter for a list of SystemParams.  It solves CHUNK points
+at a time (N = 1 runs the same code) with the points on the last axis:
+(12, n) inputs, the transition table as (24, n) arrays (a row per channel
+amplitude, in the order of channels.TRANSITIONS), W's off-diagonal rates
+and GTH's factors as (8, 8, n), so each numpy call runs one contiguous
+loop over the points.  One GTH state reduction gives every steady state,
+dark-pinned ones included, and its factors also give the steady-state
+derivatives behind the amplification factors; currents and the residual
+max|W p| come from the table's rows.  Nothing in it loops over points or
+channels, and a failed point goes through the same pass: its result rows
+are NaN.  The code states each sum's order (`_tree`, GTH's outflows in
+sequence) but for the per-point np.matmul dot products of
+`_back_substitute` and `_rate_of_change`, which BLAS orders, and the
+normalising sums over a point's 8 values, which numpy's `.sum` orders.
 rate_matrix, steady_state and (in observables) heat_currents and
 amplification_factor are its N = 1 calls.  The table reads its rows from
 channels.transition_rows, as channels_analytic does, and its Bose
@@ -85,13 +90,16 @@ _UP = ROW_J * 8 + ROW_I
 # (24, 8) incidence of the rows: row r takes its flow out of state ROW_I[r]
 # (-1) into state ROW_J[r] (+1)
 _INCIDENCE = np.eye(8)[ROW_J] - np.eye(8)[ROW_I]
-# the input columns of each row's reservoir temperature and decay rate
+# the input rows of each table row's reservoir temperature and decay rate
 _T_COLUMN, _GAMMA_COLUMN = 3 + ROW_RESERVOIR, 6 + ROW_RESERVOIR
+# points per chunk of `_solve`: an (8, 8, n) array of a chunk is 256 kB, so
+# its stages run in cache and peak memory stays flat in N
+CHUNK = 512
 
 
 def _dark(x: np.ndarray) -> np.ndarray:
-    """Which input rows have fully common coupling, lambda = (1, 1, 1)."""
-    return (x[:, 9:] == 1.0).all(axis=1)
+    """Which of the (12, N) input columns x have fully common coupling, lambda = (1, 1, 1)."""
+    return (x[9:] == 1.0).all(axis=0)
 
 
 def _pins(rho44_init: Sequence[float | None]) -> tuple[np.ndarray, np.ndarray]:
@@ -101,8 +109,9 @@ def _pins(rho44_init: Sequence[float | None]) -> tuple[np.ndarray, np.ndarray]:
 
 
 class _Table(NamedTuple):
-    """Transition table of N points: (N, 24) arrays, rows as channels.TRANSITIONS.
+    """Transition table of N points: (24, N) arrays, row r as channels.TRANSITIONS[r].
 
+    `_solve` builds one per chunk, so there N <= CHUNK.
     omega is the Bohr frequency eps_j - eps_i of row (i, j), rate = gamma a^2,
     T and nbar the temperature and Bose occupation of the row's reservoir at
     omega (nbar 0 on rows with a = 0, and where it is undefined).  down =
@@ -118,26 +127,25 @@ class _Table(NamedTuple):
 
 
 def _table(x: np.ndarray) -> tuple[_Table, np.ndarray]:
-    """Transition table of the input rows x, and where it is undefined.
+    """Transition table of the (12, N) input columns x, and where it is undefined.
 
+    `_solve` passes one chunk, N <= CHUNK, as a C-ordered copy.
     The rows come from channels.transition_rows and the occupations from
     _nbar, which bose_occupation calls on one value.  The second result
     flags the points with a row of nonzero amplitude at omega <= 0, where
     nbar does not exist (bose_occupation raises there); temperatures are
-    positive by SystemParams' own checks.  omega and T, gathered along
-    axis 1, are F-ordered and nbar is C-ordered; the current sums do not
-    depend on that, as `_row_heat` makes its product C-ordered.
+    positive by SystemParams' own checks.
     """
     omega, a = transition_rows(x)
-    T = x[:, _T_COLUMN]
-    rate = x[:, _GAMMA_COLUMN] * a * a
+    T = x[_T_COLUMN]
+    rate = x[_GAMMA_COLUMN] * a * a
     coupled = a != 0.0
     defined = coupled & (omega > 0.0)
-    z = np.full(omega.shape, np.inf)  # C-ordered, see above
+    z = np.full(omega.shape, np.inf)
     np.divide(omega, T, out=z, where=defined)
     nbar = _nbar(z)
     return (_Table(omega, rate, T, nbar, rate * (nbar + 1.0), rate * nbar),
-            (coupled & ~defined).any(axis=1))
+            (coupled & ~defined).any(axis=0))
 
 
 @functools.lru_cache(maxsize=1)
@@ -148,7 +156,7 @@ def _cached_table(params: SystemParams) -> tuple[_Table, np.ndarray]:
     heat_currents), so one entry serves; a table depends on nothing but the
     values of params, so a hit returns exactly what a rebuild would.
     """
-    result = _table(input_rows([params]))
+    result = _table(input_rows([params]).T)
     for array in (*result[0], result[1]):
         array.flags.writeable = False
     return result
@@ -163,46 +171,53 @@ def _point_table(params: SystemParams) -> _Table:
 
 
 def _rates(down: np.ndarray, up: np.ndarray) -> np.ndarray:
-    """(N, 8, 8) off-diagonal generator rates: transfer j -> i at down, i -> j at up."""
-    W = np.zeros((len(down), 64))
-    W[:, _DOWN] = down
-    W[:, _UP] = up
-    return W.reshape(-1, 8, 8)
+    """(8, 8, N) off-diagonal generator rates W[i, j, n]: transfer j -> i at down, i -> j at up.
+
+    down and up are (24, N) table rows, N <= CHUNK in `_solve`.
+    """
+    W = np.zeros((64, down.shape[1]))
+    W[_DOWN] = down
+    W[_UP] = up
+    return W.reshape(8, 8, -1)
 
 
 def _flow(down: np.ndarray, up: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """(N, 24) net population flow i -> j along each row for populations p (N, 8)."""
-    return up * p[:, ROW_I] - down * p[:, ROW_J]
+    """(24, N) net population flow i -> j along each row for populations p (8, N)."""
+    return up * p[ROW_I] - down * p[ROW_J]
 
 
 def _row_heat(t: _Table, flow: np.ndarray) -> np.ndarray:
-    """(N, 3, 8) heat omega * flow each row delivers, grouped by reservoir.
+    """(3, 8, N) heat omega * flow each row delivers, grouped by reservoir.
 
-    channels.TRANSITIONS lists the 8 rows of L, then of M, then of R.  The
-    product is made C-ordered whatever the layout of omega and flow, so a
-    sum over the last axis adds a reservoir's 8 rows pairwise, in one
-    order for a batch and for each of its points alone.
+    channels.TRANSITIONS lists the 8 rows of L, then of M, then of R.
     """
-    return np.multiply(t.omega, flow, order="C").reshape(-1, 3, 8)
+    return (t.omega * flow).reshape(3, 8, -1)
+
+
+def _tree(h: np.ndarray) -> np.ndarray:
+    """(m, N) sums of (m, 8, N) terms h0..h7, as ((h0+h1)+(h2+h3))+((h4+h5)+(h6+h7))."""
+    h = h[:, 0::2] + h[:, 1::2]
+    h = h[:, 0::2] + h[:, 1::2]
+    return h[:, 0] + h[:, 1]
 
 
 def _currents(t: _Table, flow: np.ndarray) -> np.ndarray:
-    """(N, 3) heat currents (Q_L, Q_M, Q_R): the row heats summed per reservoir."""
-    return _row_heat(t, flow).sum(axis=2)
+    """(3, N) heat currents (Q_L, Q_M, Q_R): the row heats summed per reservoir by `_tree`."""
+    return _tree(_row_heat(t, flow))
 
 
 def _rate_of_change(flow: np.ndarray) -> np.ndarray:
-    """(N, 8) W p from the row flows: each flows out of state i into state j.
+    """(N, 8) W p from the (24, N) row flows: each flows out of state i into state j.
 
-    A stack of N (1, 24) x (24, 8) products, so each point's sums are made
-    by one product of fixed shape: an (N, 24) x (24, 8) product would go to
-    BLAS as one, whose summation order changes with N.
+    A stack of N (1, 24) x (24, 8) products on an (N, 24) copy, so each
+    point's sums are made by one product of fixed shape: one (N, 24) x
+    (24, 8) product would go to BLAS, whose summation order changes with N.
     """
-    return (flow[:, None, :] @ _INCIDENCE)[:, 0]
+    return (np.ascontiguousarray(flow.T)[:, None, :] @ _INCIDENCE)[:, 0]
 
 
 def _heat(t: _Table, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(N, 3) heat currents of populations p (N, 8) on table t, and (N,) their max|W p|."""
+    """(3, N) heat currents of populations p (8, N) on table t, and (N,) their max|W p|."""
     flow = _flow(t.down, t.up, p)
     return _currents(t, flow), np.abs(_rate_of_change(flow)).max(axis=1)
 
@@ -218,21 +233,25 @@ def rate_matrix(params: SystemParams) -> np.ndarray:
     identically and the dark state decouples.
     """
     t = _point_table(params)
-    W = _rates(t.down, t.up)[0]
+    W = _rates(t.down, t.up).reshape(8, 8)
     W.flat[::9] -= W.sum(axis=0)  # the diagonal
     return W
 
 
-# GTH's index tuples of steps k = 1 .. 7, built once: A[k, :k], A[:k, k], A[k, k],
-# A[:k, :k] (None at k = 1: below state 1 only the unread A[0, 0] is left) of
-# (N, 8, 8) factors, and x[:k], x[k] of (N, 8, 1) vectors
-_STEPS = [(np.s_[:, k:k + 1, :k], np.s_[:, :k, k:k + 1], np.s_[:, k:k + 1, k:k + 1],
-           np.s_[:, :k, :k] if k > 1 else None, np.s_[:, :k], np.s_[:, k:k + 1])
+# index tuples built once: slicing inline cost ~5 us per N = 1 steady state and
+# ~13 us per alpha solve on a 2-vCPU host.  GTH's steps k = 1 .. 7: A[k, :k],
+# A[:k, k], A[k, k] and A[:k, :k] (None at k = 1: below state 1 only the
+# unread A[0, 0] is left) of (8, 8, N) factors
+_STEPS = [(np.s_[k, :k], np.s_[:k, k], np.s_[k, k], np.s_[:k, :k] if k > 1 else None)
           for k in range(1, 8)]
+# the back substitution's: F[k, :k], F[k, k] of the factors' (N, 8, 8) copy F,
+# x[:k], x[k] of (N, 8, 1) vectors
+_BACK = [(np.s_[:, k:k + 1, :k], np.s_[:, k:k + 1, k:k + 1], np.s_[:, :k], np.s_[:, k:k + 1])
+         for k in range(1, 8)]
 
 
-def _gth(A: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-    """Stationary vectors of the (N, 8, 8) off-diagonal rates A[n, i, j] (j -> i).
+def _gth(A: np.ndarray) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
+    """Stationary vectors of the (8, 8, N) off-diagonal rates A[i, j, n] (j -> i), N <= CHUNK.
 
     Grassmann-Taksar-Heyman state reduction: states are censored from the
     top down, their flows folded into the rates among the states below, and
@@ -242,58 +261,63 @@ def _gth(A: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
     1993).  A's own diagonal is ignored; A is reduced in place to the factors
     `_derivative` reuses.  Below the diagonal, row k ends as the rates into
     state k once the states above it are censored; A[k, k] as its outflow
-    out_k to the states below; above the diagonal, column k as the
-    fractions (non-negative, summing to 1) in which out_k returns to them.
-    Also returns per point the highest state without outflow to those below
-    it, or -1 (None if no point has one): that point's p is meaningless.
-    Each step indexes A through `_STEPS`, so N = 1 makes the same calls.
+    out_k to the states below, added in sequence; above the diagonal,
+    column k as the fractions (non-negative, summing to 1) in which out_k
+    returns to them.  Returns the (N, 8) stationary vectors, per point the
+    highest state without outflow to those below it, or -1 (None if no
+    point has one): that point's p is meaningless, and the (N, 8, 8) copy
+    of the factors that `_back_substitute` reads.
     """
-    n_points = len(A)
-    p = np.ones((n_points, 8, 1))
+    n_points = A.shape[2]
     with np.errstate(divide="ignore", invalid="ignore"):
-        for row, column, diagonal, block, _, _ in reversed(_STEPS):
+        for row, column, diagonal, block in reversed(_STEPS):
             column, out = A[column], A[diagonal]
-            np.add.reduce(column, axis=1, keepdims=True, out=out)
+            np.add.reduce(column, axis=0, out=out)
             np.divide(column, out, out=column)
             if block is not None:
                 block = A[block]
-                np.add(block, column * A[row], out=block)
-        _back_substitute(A, p)
-    outflow = A.reshape(n_points, 64)[:, 9::9]  # A[k, k], k = 1 .. 7
+                np.add(block, column[:, None] * A[row], out=block)
+        F = np.ascontiguousarray(A.transpose(2, 0, 1))
+        p = _back_substitute(F, np.ones((n_points, 8, 1)))[:, :, 0]
+    outflow = A.reshape(64, n_points)[9::9]  # A[k, k], k = 1 .. 7
     stuck = None
     if np.count_nonzero(outflow) < outflow.size:
         dead = outflow == 0.0
-        stuck = np.where(dead.any(axis=1), 7 - np.argmax(dead[:, ::-1], axis=1), -1)
-    p = p[:, :, 0]
-    return p / p.sum(axis=1, keepdims=True), stuck
+        stuck = np.where(dead.any(axis=0), 7 - np.argmax(dead[::-1], axis=0), -1)
+    return p / p.sum(axis=1, keepdims=True), stuck, F
 
 
-def _back_substitute(A: np.ndarray, x: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
-    """x_k = (A[k, :k] x[:k] - b_k) / A[k, k], k = 1 .. 7, in place; no b is b = 0."""
-    for row, _, diagonal, _, head, entry in _STEPS:
-        s = np.matmul(A[row], x[head])
+def _back_substitute(F: np.ndarray, x: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
+    """x_k = (F[k, :k] x[:k] - b_k) / F[k, k], k = 1 .. 7, in place; no b is b = 0.
+
+    F is `_gth`'s (N, 8, 8) copy of the factors, x and b are (N, 8, 1).
+    """
+    for row, diagonal, head, entry in _BACK:
+        s = np.matmul(F[row], x[head])
         if b is not None:
             s -= b[entry]
-        np.divide(s, A[diagonal], out=x[entry])
+        np.divide(s, F[diagonal], out=x[entry])
     return x
 
 
-def _derivative(A: np.ndarray, p: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solutions p' of W p' = b with sum(p') = 0 from `_gth`'s factors A and p of W.
+def _derivative(A: np.ndarray, F: np.ndarray, p: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(N, 8) solutions p' of W p' = b with sum(p') = 0 from `_gth`'s factors of W.
 
-    b (M, 8) must sum to zero, as -dW p does.  The censoring that reduced W
-    is applied to b: for k = 7 .. 2, b_k goes to the states below in the
-    fractions of column k.  These are non-negative and sum to 1, so ||b||_1
-    cannot grow; as b has mixed signs, GTH's subtraction-free argument does
-    not carry over, but each step adds at most a rounding error of that
-    norm.  Back substitution from x_0 = 0 (b_0 is left unread) gives a
-    solution x, and p' = x - sum(x) p.  A drained dark state (see
-    `_steady`) has b_3 = 0 and no rate into it, so its p'_3 is exactly 0.
+    A holds `_gth`'s (8, 8, N) factors of N <= CHUNK points, F their
+    (N, 8, 8) copy and p the (N, 8) stationary vectors; b (8, N) must sum
+    to zero, as -dW p does, and is overwritten.  The censoring that
+    reduced W is applied to b: for k = 7 .. 2, b_k goes to the states
+    below in the fractions of column k.  These are non-negative and sum to
+    1, so ||b||_1 cannot grow; as b has mixed signs, GTH's subtraction-free
+    argument does not carry over, but each step adds at most a rounding
+    error of that norm.  Back substitution from x_0 = 0 (b_0 is left
+    unread) gives a solution x, and p' = x - sum(x) p.  A drained dark
+    state (see `_steady`) has b_3 = 0 and no rate into it, so its p'_3 is
+    exactly 0.
     """
-    b = b[:, :, None]
-    for _, column, _, _, head, entry in _STEPS[:0:-1]:
-        b[head] += A[column] * b[entry]
-    x = _back_substitute(A, np.zeros_like(b), b)[:, :, 0]
+    for k in range(7, 1, -1):
+        b[:k] += A[:k, k] * b[k]
+    x = _back_substitute(F, np.zeros((len(p), 8, 1)), b.T[:, :, None])[:, :, 0]
     return x - x.sum(axis=1, keepdims=True) * p
 
 
@@ -320,11 +344,12 @@ def _raise_first(errors: Sequence[Exception | None]) -> None:
 
 
 class _Steady(NamedTuple):
-    """The first stage of `solve`: steady states and `_gth`'s results; row n is point n."""
+    """The first stage of `solve` on a chunk of N <= CHUNK points; point n is row n."""
 
     populations: np.ndarray
     failures: _Failures
-    factors: np.ndarray     # (N, 8, 8) `_gth`'s factors of the generators
+    factors: np.ndarray     # (8, 8, N) `_gth`'s factors of the generators
+    rows: np.ndarray        # (N, 8, 8) their copy, as `_back_substitute` reads it
     stationary: np.ndarray  # (N, 8) `_gth`'s stationary vectors, before any dark pin
 
 
@@ -337,8 +362,8 @@ def _steady(t: _Table, undefined: np.ndarray, dark: np.ndarray, pinned: np.ndarr
     A dark state is solved only where it is pinned; it has no rates and is
     drained 3 -> 0 at unit rate, as steady_state describes (its rate there
     is exactly 0.0, so adding dark sets it to 1.0 and adds +0.0 elsewhere).
-    Every point goes through `_gth`, failed ones included, so row n of
-    every array is point n; each point's arithmetic is its own.  One count
+    Every point goes through `_gth`, failed ones included, so point n keeps
+    its place in every array; each point's arithmetic is its own.  One count
     finds any missing, superfluous or out-of-range pin and any undefined
     nbar; only then, or where a state has no outflow, are the errors
     recorded, in that order, and a failed point's row set to NaN.  The
@@ -353,8 +378,8 @@ def _steady(t: _Table, undefined: np.ndarray, dark: np.ndarray, pinned: np.ndarr
     if pins:  # rho44 is 0 where no pin is set
         out_of_range = ~((rho44 >= 0.0) & (rho44 <= 1.0))
         invalid |= out_of_range
-        W[:, 0, DARK_STATE] += dark
-    q, stuck = _gth(W)
+        W[0, DARK_STATE] += dark
+    q, stuck, rows = _gth(W)
     if np.count_nonzero(invalid | undefined) or stuck is not None:
         failures.record(dark & ~pinned, UnderdeterminedError,
                         "fully common coupling leaves the dark-state population free; "
@@ -374,7 +399,7 @@ def _steady(t: _Table, undefined: np.ndarray, dark: np.ndarray, pinned: np.ndarr
     if pins:
         p = q * (1.0 - rho44[:, None])
         p[:, DARK_STATE] += rho44
-    return _Steady(p, failures, W, q)
+    return _Steady(p, failures, W, rows, q)
 
 
 class Solution(NamedTuple):
@@ -429,6 +454,25 @@ def solve(
     return _solve(input_rows(params), *_pins(rho44_init), control)
 
 
+def _response(t: _Table, steady: _Steady, control: str) -> np.ndarray:
+    """(6, 8, N) row heats of dQ/dT_control per reservoir, then their sizes.
+
+    Row r's heat is hp + hw, the heats it delivers for p' and for dW/dT, and
+    its size |hp| + |hw|: `_tree` over them adds a reservoir's 16 heats as
+    numpy's pairwise sum of its 8 hp followed by its 8 hw would.
+    """
+    on = (ROW_RESERVOIR == RESERVOIRS.index(control))[:, None]
+    d_rate = np.where(on, t.rate * t.nbar * (t.nbar + 1.0) * t.omega / (t.T * t.T), 0.0)
+    d_flow = _flow(d_rate, d_rate, steady.populations.T)
+    dp = _derivative(steady.factors, steady.rows, steady.stationary,
+                     -_rate_of_change(d_flow).T)
+    hp, hw = _row_heat(t, _flow(t.down, t.up, dp.T)), _row_heat(t, d_flow)
+    terms = np.empty((6, 8, len(dp)))
+    np.add(hp, hw, out=terms[:3])
+    np.add(np.abs(hp, out=hp), np.abs(hw, out=hw), out=terms[3:])
+    return terms
+
+
 def _solve(
     x: np.ndarray,
     pinned: np.ndarray,
@@ -438,30 +482,48 @@ def _solve(
     """`solve` on (N, 12) input rows x, columns in model.FIELD_NAMES order.
 
     The rows must lie in the SystemParams domain (see model.check_rows);
-    pinned and rho44 are the pins in the form `_steady` takes them.
+    pinned and rho44 are the pins in the form `_steady` takes them.  The
+    points are solved CHUNK at a time, each chunk's rows taken as (12, n)
+    columns, and its results written into the (N, ...) arrays: beyond
+    those, memory holds one chunk's arrays whatever N is.
     """
     if control is not None and control not in RESERVOIRS:
         raise ParameterError("control terminal must be one of 'L', 'M', 'R'")
-    t, undefined = _table(x)
-    p, failures, factors, stationary = _steady(t, undefined, _dark(x), pinned, rho44)
-    currents, residual = _heat(t, p)
+    n_points = len(x)
+    sol = Solution(np.empty((n_points, 8)), np.empty((n_points, 3)), np.empty(n_points),
+                   np.full((n_points, 2), np.nan), [None] * n_points)
+    for start in range(0, n_points, CHUNK):
+        chunk = slice(start, start + CHUNK)
+        sol.errors[chunk] = _solve_chunk(x[chunk], pinned[chunk], rho44[chunk], control,
+                                         [result[chunk] for result in sol[:4]])
+    return sol
 
-    alpha = np.full((len(p), 2), np.nan)
+
+def _solve_chunk(x: np.ndarray, pinned: np.ndarray, rho44: np.ndarray, control: str | None,
+                 out: list[np.ndarray]) -> list[Exception | None]:
+    """`_solve` on at most CHUNK rows x; returns their errors.
+
+    out holds views of `_solve`'s populations, currents, residual and alpha
+    for these rows.  The chunk's own arrays are freed on return, before the
+    next chunk is built.
+    """
+    populations, currents, residual, alpha = out
+    columns = np.ascontiguousarray(x.T)
+    t, undefined = _table(columns)
+    steady = _steady(t, undefined, _dark(columns), pinned, rho44)
+    p, failures = steady.populations, steady.failures
+    q, residual[...] = _heat(t, p.T)
+    populations[...], currents[...] = p, q.T
     if control is not None:
-        on = ROW_RESERVOIR == RESERVOIRS.index(control)
-        d_rate = np.where(on, t.rate * t.nbar * (t.nbar + 1.0) * t.omega / (t.T * t.T), 0.0)
-        d_flow = _flow(d_rate, d_rate, p)
-        dp = _derivative(factors, stationary, -_rate_of_change(d_flow))
-        heat = np.concatenate([_row_heat(t, _flow(t.down, t.up, dp)), _row_heat(t, d_flow)],
-                              axis=2)
-        dQ, size = heat.sum(axis=2), np.abs(heat).sum(axis=2)
-        others, others_size = (v[:, [2, 0, 1]] + v[:, [1, 2, 0]] for v in (dQ, size))
+        terms = _tree(_response(t, steady, control))
+        dQ, size = terms[:3], terms[3:]
+        others, others_size = (v[[2, 0, 1]] + v[[1, 2, 0]] for v in (dQ, size))
         dQ = np.where(size > others_size, -others, dQ)
-        failures.record(dQ[:, 1] == 0.0, DegenerateControlError,
+        failures.record(dQ[1] == 0.0, DegenerateControlError,
                         f"dQ_M/dT_{control} vanishes at this operating point")
         ok = failures.ok
-        alpha[ok] = dQ[ok][:, [0, 2]] / dQ[ok, 1:2]
-    return Solution(p, currents, residual, alpha, failures.errors)
+        alpha[ok] = (dQ[::2, ok] / dQ[1, ok]).T
+    return failures.errors
 
 
 def _solve_point(

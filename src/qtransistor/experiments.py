@@ -211,7 +211,7 @@ def _grid(
         else:
             x[:, _COLUMN[axis]] = values
     check_rows(x)
-    pinned = _dark(x) & has_pin
+    pinned = _dark(x.T) & has_pin
     return x, pinned, np.where(pinned, rho44, 0.0)
 
 

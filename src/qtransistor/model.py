@@ -166,20 +166,23 @@ def build_hamiltonian(params: SystemParams) -> np.ndarray:
 
 
 def closed_forms(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues and mixing angles of the rows x = (omega_L, omega_M, g, ...).
+    """Eigenvalues and mixing angles of N points, points on the last axis.
 
-    Returns the (N, 8) eigenvalues in the pairing order (R, L, M, 4 | 4, M, L, R)
-    and the (N, 3) angles (beta_R, beta_L, beta_M).  For each doublet
+    x holds the points' input rows as columns, (12, N) with rows in
+    FIELD_NAMES order (only omega_L, omega_M and g are read); the kernel,
+    dynamics._solve, passes at most dynamics.CHUNK points.  Returns the
+    (8, N) eigenvalues in the pairing order (R, L, M, 4 | 4, M, L, R) and
+    the (3, N) angles (beta_R, beta_L, beta_M).  For each doublet
     w = omega_R, omega_L, omega_M: e = sqrt(w^2 + g^2) and
     sin(beta) = g / sqrt((e + w)^2 + g^2), so beta lies in (0, pi/4] for g > 0
     and is 0 at g = 0 (w > 0).
     """
-    w = np.concatenate([x[:, :1] + x[:, 1:2], x[:, :2]], axis=1)
-    g = x[:, 2:3]
+    w = np.concatenate([x[:1] + x[1:2], x[:2]])
+    g = x[2:3]
     gg = g * g
     e = np.sqrt(w * w + gg)
     ew = e + w
-    eigenvalues = np.concatenate([-e, -g, g, e[:, ::-1]], axis=1)
+    eigenvalues = np.concatenate([-e, -g, g, e[::-1]])
     return eigenvalues, np.arcsin(g / np.sqrt(ew * ew + gg))
 
 
@@ -199,7 +202,7 @@ def mixing_angle(omega_i: float, g: float) -> float:
         return 0.25 * math.pi
     if g == 0.0:
         return 0.0
-    return float(closed_forms(np.array([[omega_i, omega_i, g]]))[1][0, 1])
+    return float(closed_forms(np.array([[omega_i], [omega_i], [g]]))[1][1, 0])
 
 
 def _ket(label: str) -> np.ndarray:
@@ -210,7 +213,7 @@ def _ket(label: str) -> np.ndarray:
 
 def analytic_eigenvalues(params: SystemParams) -> np.ndarray:
     """Closed-form eigenvalues in the pairing order (R, L, M, 4 | 4, M, L, R)."""
-    return closed_forms(input_rows([params]))[0][0]
+    return closed_forms(input_rows([params]).T)[0][:, 0]
 
 
 def analytic_eigensystem(params: SystemParams) -> EigenSystem:
@@ -219,9 +222,9 @@ def analytic_eigensystem(params: SystemParams) -> EigenSystem:
     Each eigenvector is a superposition of exactly two computational basis
     states related by flipping all three qubits.
     """
-    eigenvalues, beta = closed_forms(input_rows([params]))
+    eigenvalues, beta = closed_forms(input_rows([params]).T)
     # the central doublet has beta_4 = pi/4 for every g (see mixing_angle)
-    angles = MixingAngles(*beta[0].tolist(), beta_4=0.25 * math.pi)
+    angles = MixingAngles(*beta[:, 0].tolist(), beta_4=0.25 * math.pi)
     (cR, cL, cM, c4), (sR, sL, sM, s4) = np.cos(angles), np.sin(angles)
 
     V = np.column_stack([
@@ -234,7 +237,7 @@ def analytic_eigensystem(params: SystemParams) -> EigenSystem:
         cL * _ket("101") + sL * _ket("010"),
         cR * _ket("111") + sR * _ket("000"),
     ])
-    return EigenSystem(eigenvalues=eigenvalues[0], mixing_angles=angles, eigenvectors=V)
+    return EigenSystem(eigenvalues=eigenvalues[:, 0], mixing_angles=angles, eigenvectors=V)
 
 
 def bohr_frequencies(eigenvalues: np.ndarray) -> np.ndarray:

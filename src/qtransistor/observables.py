@@ -69,8 +69,8 @@ def heat_currents(params: SystemParams, p: np.ndarray) -> HeatCurrentTriple:
     p = np.asarray(p, dtype=float)
     if p.shape != (8,):
         raise ParameterError("population vector must have 8 components")
-    currents, residual = _heat(_point_table(params), p[None])
-    return HeatCurrentTriple(*currents[0].tolist(), steady_residual=float(residual[0]))
+    currents, residual = _heat(_point_table(params), p[:, None])
+    return HeatCurrentTriple(*currents[:, 0].tolist(), steady_residual=float(residual[0]))
 
 
 def amplification_factor(

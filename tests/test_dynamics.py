@@ -325,6 +325,21 @@ def mixed_draws(n=200, seed=2031):
     return params, pins
 
 
+def straddling_batch(fig2_params, dark_params):
+    """CHUNK + 3 mixed draws with a failing point of each kind at the chunk boundary.
+
+    The first chunk ends with an unpinned dark point and one without
+    outflow, the second starts with a superfluous pin, a pin outside
+    [0, 1] and a frozen control bath (which fails only alpha, for control M).
+    """
+    params, pins = mixed_draws(dynamics.CHUNK + 3)
+    failing = [(dark_params, None), (without_outflow(fig2_params), None), (fig2_params, 0.3),
+               (dark_params, 1.5), (fig2_params.replace(T_M=0.001), None)]
+    for n, (point, pin) in enumerate(failing, start=dynamics.CHUNK - 2):
+        params[n], pins[n] = point, pin
+    return params, pins
+
+
 class TestBatchedKernel:
     def test_table_matches_scalar_closed_forms_bit_for_bit(self):
         for params in mixed_draws(40)[0]:
@@ -363,11 +378,79 @@ class TestBatchedKernel:
             for got, expected in zip(batch[:4], single[:4]):
                 assert got[n].tobytes() == expected[0].tobytes()
 
+    @pytest.mark.parametrize("control", [None, "M"])
+    def test_batch_across_chunks_matches_single_point_calls(self, fig2_params, dark_params,
+                                                             control):
+        # a batch longer than a chunk, failed points on both sides of the
+        # chunk boundary: each point comes out as it does alone, bit for bit
+        params, pins = straddling_batch(fig2_params, dark_params)
+        batch = solve(params, pins, control=control)
+        assert sum(error is not None for error in batch.errors) == 4 + (control == "M")
+        for n, (point, pin) in enumerate(zip(params, pins)):
+            single = solve([point], [pin], control=control)
+            assert repr(batch.errors[n]) == repr(single.errors[0])
+            for got, expected in zip(batch[:4], single[:4]):
+                assert got[n].tobytes() == expected[0].tobytes()
+
+    def test_input_row_order_changes_no_bit(self, fig2_params, dark_params):
+        params, pins = straddling_batch(fig2_params, dark_params)
+        x = input_rows(params)
+        pins = dynamics._pins(pins)
+        c_rows = dynamics._solve(x, *pins, "M")
+        f_rows = dynamics._solve(np.asfortranarray(x), *pins, "M")
+        for got, expected in zip(f_rows[:4], c_rows[:4]):
+            assert got.tobytes() == expected.tobytes()
+        assert list(map(repr, f_rows.errors)) == list(map(repr, c_rows.errors))
+
+    def test_peak_memory_does_not_grow_with_the_batch(self):
+        # beyond its results a solve holds one chunk's arrays, whatever N is
+        params, pins = mixed_draws(4 * dynamics.CHUNK)
+        x = input_rows(params)
+        pinned, rho44 = dynamics._pins(pins)
+        dynamics._solve(x[:3], pinned[:3], rho44[:3], "M")
+
+        def peak(n):
+            tracemalloc.start()
+            try:
+                sol = dynamics._solve(x[:n], pinned[:n], rho44[:n], "M")
+                top = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            return top, sum(a.nbytes for a in sol[:4]) + sys.getsizeof(sol.errors)
+
+        # 2 kB for the interpreter's own objects (slices, views, loop counters):
+        # less than any array of a chunk, the smallest of which is CHUNK doubles
+        (one, one_out), (four, four_out) = peak(dynamics.CHUNK), peak(4 * dynamics.CHUNK)
+        assert four - one <= four_out - one_out + 2048, (four - one, four_out - one_out)
+
+    def test_currents_and_responses_add_in_the_stated_order(self):
+        # the kernel's currents and dQ/dT, summed again in Python floats from
+        # its own row heats, in the order the code states; alpha follows
+        params, pins = mixed_draws()
+        x = input_rows(params).T
+        t, undefined = dynamics._table(x)
+        steady = dynamics._steady(t, undefined, dynamics._dark(x), *dynamics._pins(pins))
+        heat = dynamics._row_heat(t, dynamics._flow(t.down, t.up, steady.populations.T))
+        terms = dynamics._response(t, steady, "M")
+        sol = solve(params, pins, control="M")
+
+        def tree(h):
+            return ((h[0] + h[1]) + (h[2] + h[3])) + ((h[4] + h[5]) + (h[6] + h[7]))
+
+        for n in range(len(params)):
+            currents = [tree(h[:, n].tolist()) for h in heat]
+            assert np.array(currents).tobytes() == sol.currents[n].tobytes()
+            dQ, size = ([tree(h[:, n].tolist()) for h in part] for part in (terms[:3], terms[3:]))
+            others = [dQ[2] + dQ[1], dQ[0] + dQ[2], dQ[1] + dQ[0]]
+            others_size = [size[2] + size[1], size[0] + size[2], size[1] + size[0]]
+            dQ = [-o if s > os else q for q, s, o, os in zip(dQ, size, others, others_size)]
+            assert np.array([dQ[0] / dQ[1], dQ[2] / dQ[1]]).tobytes() == sol.alpha[n].tobytes()
+
     def test_currents_do_not_follow_the_table_layout(self):
         # the row heats of a table laid out column-major are summed in the same order
         params, pins = mixed_draws(400)
-        t, _ = dynamics._table(input_rows(params))
-        p = solve(params, pins).populations
+        t, _ = dynamics._table(input_rows(params).T)
+        p = solve(params, pins).populations.T
         fortran = dynamics._Table(*map(np.asfortranarray, t))
         for got, expected in zip(dynamics._heat(fortran, p), dynamics._heat(t, p)):
             assert got.tobytes() == expected.tobytes()
@@ -522,7 +605,7 @@ class TestTableMemo:
         # g = -0.0 passes SystemParams and equals g = 0.0, so both hit one memo
         # entry: their tables must be the same bytes
         plus, minus = fig2_params.replace(g=0.0), fig2_params.replace(g=-0.0)
-        (t_plus, u_plus), (t_minus, u_minus) = (dynamics._table(input_rows([x]))
+        (t_plus, u_plus), (t_minus, u_minus) = (dynamics._table(input_rows([x]).T)
                                                 for x in (plus, minus))
         for a, b in zip((*t_plus, u_plus), (*t_minus, u_minus)):
             assert a.tobytes() == b.tobytes()
