@@ -85,12 +85,13 @@ def transition_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     model.FIELD_NAMES order; row r of a result is TRANSITIONS[r] for every
     point (dynamics._solve passes at most dynamics.CHUNK points).  omega
     is the Bohr frequency eps_j - eps_i of row (i, j) from
-    model.closed_forms, a the amplitude <eps_i|S_nu|eps_j>; a row carries a
-    rate exactly where a != 0.  The two rows of a channel share omega bit
-    for bit (the same sum or difference of two eigenvalue magnitudes).
+    model.closed_forms, a the amplitude <eps_i|S_nu|eps_j> from its
+    cosines and sines of the mixing angles; a row carries a rate exactly
+    where a != 0.  The two rows of a channel share omega bit for bit (the
+    same sum or difference of two eigenvalue magnitudes).
     """
-    eps, beta = closed_forms(x)
-    a = transition_amplitudes(np.cos(beta), np.sin(beta), x[9:12])
+    eps, cos, sin = closed_forms(x)
+    a = transition_amplitudes(cos, sin, x[9:12])
     return eps[ROW_J] - eps[ROW_I], a
 
 

@@ -5,19 +5,22 @@ classical rate equation p' = W p.  One batched kernel, `_solve`, computes
 every per-point number of the package from the (N, 12) input rows of N
 operating points (the SystemParams fields in order) and dark-state pins;
 `solve` is its adapter for a list of SystemParams.  It solves CHUNK points
-at a time (N = 1 runs the same code) with the points on the last axis:
-(12, n) inputs, the transition table as (24, n) arrays (a row per channel
-amplitude, in the order of channels.TRANSITIONS), W's off-diagonal rates
-and GTH's factors as (8, 8, n), so each numpy call runs one contiguous
-loop over the points.  One GTH state reduction gives every steady state,
+at a time (N = 1 runs the same code) with the points on the last axis, the
+kernel's only layout: (12, n) inputs, the transition table as (24, n)
+arrays (a row per channel amplitude, in the order of channels.TRANSITIONS),
+W's off-diagonal rates and GTH's factors as (8, 8, n), populations and
+their derivatives as (8, n), so each numpy call runs one contiguous loop
+over the points.  Each point's rates are taken in units of 2^e, e the
+exponent of its largest gamma, so no rate underflows for being small in
+absolute terms.  One GTH state reduction gives every steady state,
 dark-pinned ones included, and its factors also give the steady-state
 derivatives behind the amplification factors; currents and the residual
 max|W p| come from the table's rows.  Nothing in it loops over points or
 channels, and a failed point goes through the same pass: its result rows
-are NaN.  The code states each sum's order (`_tree`, GTH's outflows in
-sequence) but for the per-point np.matmul dot products of
-`_back_substitute` and `_rate_of_change`, which BLAS orders, and the
-normalising sums over a point's 8 values, which numpy's `.sum` orders.
+are NaN.  Every sum that feeds p, Q, alpha or the residual has an order
+the code states, none BLAS's: 8 terms add by `_tree`, fewer from the first
+to the last, as np.add.reduce adds them at every N (8 terms it would add
+pairwise at N = 1 only).
 rate_matrix, steady_state and (in observables) heat_currents and
 amplification_factor are its N = 1 calls.  The table reads its rows from
 channels.transition_rows, as channels_analytic does, and its Bose
@@ -87,11 +90,12 @@ def bose_occupation(omega: float, T: float) -> float:
 # i -> j at W[j, i]; the 24 pairs are distinct, so each entry is set once
 _DOWN = ROW_I * 8 + ROW_J
 _UP = ROW_J * 8 + ROW_I
-# (24, 8) incidence of the rows: row r takes its flow out of state ROW_I[r]
-# (-1) into state ROW_J[r] (+1)
-_INCIDENCE = np.eye(8)[ROW_J] - np.eye(8)[ROW_I]
-# the input rows of each table row's reservoir temperature and decay rate
-_T_COLUMN, _GAMMA_COLUMN = 3 + ROW_RESERVOIR, 6 + ROW_RESERVOIR
+# the (8, 6) rows each state takes part in, in row order, and their signs:
+# row r takes its flow out of state ROW_I[r] (-1) into state ROW_J[r] (+1)
+_TOUCH = np.array([np.flatnonzero((ROW_I == k) | (ROW_J == k)) for k in range(8)])
+_TOUCH_SIGN = np.where(ROW_J[_TOUCH] == np.arange(8)[:, None], 1.0, -1.0)[:, :, None]
+# the input row of each table row's reservoir temperature
+_T_COLUMN = 3 + ROW_RESERVOIR
 # points per chunk of `_solve`: an (8, 8, n) array of a chunk is 256 kB, so
 # its stages run in cache and peak memory stays flat in N
 CHUNK = 512
@@ -112,10 +116,14 @@ class _Table(NamedTuple):
     """Transition table of N points: (24, N) arrays, row r as channels.TRANSITIONS[r].
 
     `_solve` builds one per chunk, so there N <= CHUNK.
-    omega is the Bohr frequency eps_j - eps_i of row (i, j), rate = gamma a^2,
-    T and nbar the temperature and Bose occupation of the row's reservoir at
-    omega (nbar 0 on rows with a = 0, and where it is undefined).  down =
-    rate (nbar + 1) and up = rate nbar are the transfer rates j -> i and i -> j.
+    omega is the Bohr frequency eps_j - eps_i of row (i, j), rate = gamma a^2
+    in units of 2^scale, T and nbar the temperature and Bose occupation of
+    the row's reservoir at omega (nbar 0 on rows with a = 0, and where it is
+    undefined).  down = rate (nbar + 1) and up = rate nbar are the transfer
+    rates j -> i and i -> j in those units.  scale (N,) is the np.frexp
+    exponent of the point's largest gamma, and unit its largest gamma in
+    units of 2^scale, in [0.5, 1): rates, p and alpha do not change when
+    every gamma is multiplied by a power of two.
     """
 
     omega: np.ndarray
@@ -124,6 +132,8 @@ class _Table(NamedTuple):
     nbar: np.ndarray
     down: np.ndarray
     up: np.ndarray
+    unit: np.ndarray
+    scale: np.ndarray
 
 
 def _table(x: np.ndarray) -> tuple[_Table, np.ndarray]:
@@ -134,17 +144,20 @@ def _table(x: np.ndarray) -> tuple[_Table, np.ndarray]:
     _nbar, which bose_occupation calls on one value.  The second result
     flags the points with a row of nonzero amplitude at omega <= 0, where
     nbar does not exist (bose_occupation raises there); temperatures are
-    positive by SystemParams' own checks.
+    positive by SystemParams' own checks.  The gammas are divided by
+    2^scale exactly, unless two of a point's gammas lie more than ~1e308
+    apart, where the smaller one would underflow.
     """
     omega, a = transition_rows(x)
     T = x[_T_COLUMN]
-    rate = x[_GAMMA_COLUMN] * a * a
+    unit, scale = np.frexp(x[6:9].max(axis=0))  # rows gamma_L, gamma_M, gamma_R
+    rate = np.ldexp(x[6:9], -scale)[ROW_RESERVOIR] * a * a
     coupled = a != 0.0
     defined = coupled & (omega > 0.0)
     z = np.full(omega.shape, np.inf)
     np.divide(omega, T, out=z, where=defined)
     nbar = _nbar(z)
-    return (_Table(omega, rate, T, nbar, rate * (nbar + 1.0), rate * nbar),
+    return (_Table(omega, rate, T, nbar, rate * (nbar + 1.0), rate * nbar, unit, scale),
             (coupled & ~defined).any(axis=0))
 
 
@@ -207,19 +220,23 @@ def _currents(t: _Table, flow: np.ndarray) -> np.ndarray:
 
 
 def _rate_of_change(flow: np.ndarray) -> np.ndarray:
-    """(N, 8) W p from the (24, N) row flows: each flows out of state i into state j.
+    """(8, N) W p from the (24, N) row flows: each flows out of state i into state j.
 
-    A stack of N (1, 24) x (24, 8) products on an (N, 24) copy, so each
-    point's sums are made by one product of fixed shape: one (N, 24) x
-    (24, 8) product would go to BLAS, whose summation order changes with N.
+    State k adds the signed flows of its 6 rows `_TOUCH[k]` from the first
+    row to the last.
     """
-    return (np.ascontiguousarray(flow.T)[:, None, :] @ _INCIDENCE)[:, 0]
+    return np.add.reduce(flow[_TOUCH] * _TOUCH_SIGN, axis=1)
 
 
 def _heat(t: _Table, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(3, N) heat currents of populations p (8, N) on table t, and (N,) their max|W p|."""
+    """(3, N) heat currents of populations p (8, N) on table t, and (N,) their max|W p|.
+
+    The currents are scaled back to the true rates, the residual is in
+    units of the point's largest gamma.
+    """
     flow = _flow(t.down, t.up, p)
-    return _currents(t, flow), np.abs(_rate_of_change(flow)).max(axis=1)
+    residual = np.abs(_rate_of_change(flow)).max(axis=0) / t.unit
+    return np.ldexp(_currents(t, flow), t.scale), residual
 
 
 def rate_matrix(params: SystemParams) -> np.ndarray:
@@ -233,24 +250,20 @@ def rate_matrix(params: SystemParams) -> np.ndarray:
     identically and the dark state decouples.
     """
     t = _point_table(params)
-    W = _rates(t.down, t.up).reshape(8, 8)
+    W = np.ldexp(_rates(t.down, t.up).reshape(8, 8), t.scale)
     W.flat[::9] -= W.sum(axis=0)  # the diagonal
     return W
 
 
 # index tuples built once: slicing inline cost ~5 us per N = 1 steady state and
-# ~13 us per alpha solve on a 2-vCPU host.  GTH's steps k = 1 .. 7: A[k, :k],
-# A[:k, k], A[k, k] and A[:k, :k] (None at k = 1: below state 1 only the
-# unread A[0, 0] is left) of (8, 8, N) factors
-_STEPS = [(np.s_[k, :k], np.s_[:k, k], np.s_[k, k], np.s_[:k, :k] if k > 1 else None)
+# ~13 us per alpha solve on a 2-vCPU host.  Step k = 1 .. 7 of GTH and of the
+# substitutions: k, A[k, :k], A[:k, k], A[k, k] and A[:k, :k] (None at k = 1:
+# below state 1 only the unread A[0, 0] is left) of (8, 8, N) factors
+_STEPS = [(k, np.s_[k, :k], np.s_[:k, k], np.s_[k, k], np.s_[:k, :k] if k > 1 else None)
           for k in range(1, 8)]
-# the back substitution's: F[k, :k], F[k, k] of the factors' (N, 8, 8) copy F,
-# x[:k], x[k] of (N, 8, 1) vectors
-_BACK = [(np.s_[:, k:k + 1, :k], np.s_[:, k:k + 1, k:k + 1], np.s_[:, :k], np.s_[:, k:k + 1])
-         for k in range(1, 8)]
 
 
-def _gth(A: np.ndarray) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
+def _gth(A: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
     """Stationary vectors of the (8, 8, N) off-diagonal rates A[i, j, n] (j -> i), N <= CHUNK.
 
     Grassmann-Taksar-Heyman state reduction: states are censored from the
@@ -261,64 +274,63 @@ def _gth(A: np.ndarray) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
     1993).  A's own diagonal is ignored; A is reduced in place to the factors
     `_derivative` reuses.  Below the diagonal, row k ends as the rates into
     state k once the states above it are censored; A[k, k] as its outflow
-    out_k to the states below, added in sequence; above the diagonal,
+    out_k to the states below, added from state 0 up; above the diagonal,
     column k as the fractions (non-negative, summing to 1) in which out_k
-    returns to them.  Returns the (N, 8) stationary vectors, per point the
-    highest state without outflow to those below it, or -1 (None if no
-    point has one): that point's p is meaningless, and the (N, 8, 8) copy
-    of the factors that `_back_substitute` reads.
+    returns to them.  Returns the (8, N) stationary vectors, divided by
+    their `_tree` sums, and per point the highest state without outflow to
+    those below it, or -1 (None if no point has one): that point's p is
+    meaningless.
     """
-    n_points = A.shape[2]
     with np.errstate(divide="ignore", invalid="ignore"):
-        for row, column, diagonal, block in reversed(_STEPS):
+        for _, row, column, diagonal, block in reversed(_STEPS):
             column, out = A[column], A[diagonal]
             np.add.reduce(column, axis=0, out=out)
             np.divide(column, out, out=column)
             if block is not None:
                 block = A[block]
                 np.add(block, column[:, None] * A[row], out=block)
-        F = np.ascontiguousarray(A.transpose(2, 0, 1))
-        p = _back_substitute(F, np.ones((n_points, 8, 1)))[:, :, 0]
-    outflow = A.reshape(64, n_points)[9::9]  # A[k, k], k = 1 .. 7
+        p = _back_substitute(A, 1.0)
+    outflow = A.reshape(64, -1)[9::9]  # A[k, k], k = 1 .. 7
     stuck = None
     if np.count_nonzero(outflow) < outflow.size:
         dead = outflow == 0.0
         stuck = np.where(dead.any(axis=0), 7 - np.argmax(dead[::-1], axis=0), -1)
-    return p / p.sum(axis=1, keepdims=True), stuck, F
+    return p / _tree(p[None])[0], stuck
 
 
-def _back_substitute(F: np.ndarray, x: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
-    """x_k = (F[k, :k] x[:k] - b_k) / F[k, k], k = 1 .. 7, in place; no b is b = 0.
+def _back_substitute(A: np.ndarray, first: float, b: np.ndarray | None = None) -> np.ndarray:
+    """(8, N) x: x_0 = first, x_k = (A[k, :k] x[:k] - b_k) / A[k, k], k = 1 .. 7; no b is b = 0.
 
-    F is `_gth`'s (N, 8, 8) copy of the factors, x and b are (N, 8, 1).
+    A holds `_gth`'s (8, 8, N) factors, b is (8, N); each dot adds from j = 0 up.
     """
-    for row, diagonal, head, entry in _BACK:
-        s = np.matmul(F[row], x[head])
+    x = np.empty(A.shape[1:])
+    x[0] = first
+    for k, row, _, diagonal, _ in _STEPS:
+        s = np.add.reduce(A[row] * x[:k], axis=0)
         if b is not None:
-            s -= b[entry]
-        np.divide(s, F[diagonal], out=x[entry])
+            s -= b[k]
+        np.divide(s, A[diagonal], out=x[k])
     return x
 
 
-def _derivative(A: np.ndarray, F: np.ndarray, p: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """(N, 8) solutions p' of W p' = b with sum(p') = 0 from `_gth`'s factors of W.
+def _derivative(A: np.ndarray, p: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(8, N) solutions p' of W p' = b with sum(p') = 0 from `_gth`'s factors of W.
 
-    A holds `_gth`'s (8, 8, N) factors of N <= CHUNK points, F their
-    (N, 8, 8) copy and p the (N, 8) stationary vectors; b (8, N) must sum
-    to zero, as -dW p does, and is overwritten.  The censoring that
-    reduced W is applied to b: for k = 7 .. 2, b_k goes to the states
-    below in the fractions of column k.  These are non-negative and sum to
-    1, so ||b||_1 cannot grow; as b has mixed signs, GTH's subtraction-free
-    argument does not carry over, but each step adds at most a rounding
-    error of that norm.  Back substitution from x_0 = 0 (b_0 is left
-    unread) gives a solution x, and p' = x - sum(x) p.  A drained dark
-    state (see `_steady`) has b_3 = 0 and no rate into it, so its p'_3 is
-    exactly 0.
+    A holds `_gth`'s (8, 8, N) factors of N <= CHUNK points and p the
+    (8, N) stationary vectors; b (8, N) must sum to zero, as -dW p does,
+    and is overwritten.  The censoring that reduced W is applied to b: for
+    k = 7 .. 2, b_k goes to the states below in the fractions of column k.
+    These are non-negative and sum to 1, so ||b||_1 cannot grow; as b has
+    mixed signs, GTH's subtraction-free argument does not carry over, but
+    each step adds at most a rounding error of that norm.  Back substitution
+    from x_0 = 0 (b_0 is left unread) gives a solution x, and
+    p' = x - sum(x) p with sum(x) by `_tree`.  A drained dark state (see
+    `_steady`) has b_3 = 0 and no rate into it, so its p'_3 is exactly 0.
     """
-    for k in range(7, 1, -1):
-        b[:k] += A[:k, k] * b[k]
-    x = _back_substitute(F, np.zeros((len(p), 8, 1)), b.T[:, :, None])[:, :, 0]
-    return x - x.sum(axis=1, keepdims=True) * p
+    for k, _, column, _, _ in reversed(_STEPS[1:]):
+        b[:k] += A[column] * b[k]
+    x = _back_substitute(A, 0.0, b)
+    return x - _tree(x[None])[0] * p
 
 
 class _Failures:
@@ -344,13 +356,12 @@ def _raise_first(errors: Sequence[Exception | None]) -> None:
 
 
 class _Steady(NamedTuple):
-    """The first stage of `solve` on a chunk of N <= CHUNK points; point n is row n."""
+    """The first stage of `solve` on a chunk of N <= CHUNK points; point n is column n."""
 
-    populations: np.ndarray
+    populations: np.ndarray  # (8, N)
     failures: _Failures
-    factors: np.ndarray     # (8, 8, N) `_gth`'s factors of the generators
-    rows: np.ndarray        # (N, 8, 8) their copy, as `_back_substitute` reads it
-    stationary: np.ndarray  # (N, 8) `_gth`'s stationary vectors, before any dark pin
+    factors: np.ndarray      # (8, 8, N) `_gth`'s factors of the generators
+    stationary: np.ndarray   # (8, N) `_gth`'s stationary vectors, before any dark pin
 
 
 def _steady(t: _Table, undefined: np.ndarray, dark: np.ndarray, pinned: np.ndarray,
@@ -366,8 +377,8 @@ def _steady(t: _Table, undefined: np.ndarray, dark: np.ndarray, pinned: np.ndarr
     its place in every array; each point's arithmetic is its own.  One count
     finds any missing, superfluous or out-of-range pin and any undefined
     nbar; only then, or where a state has no outflow, are the errors
-    recorded, in that order, and a failed point's row set to NaN.  The
-    pins are restored on whole arrays, a NaN row staying NaN; where no
+    recorded, in that order, and a failed point's column set to NaN.  The
+    pins are restored on whole arrays, a NaN column staying NaN; where no
     point is pinned, `_gth`'s results are the populations: the pins would
     scale them by 1 - 0 and add 0, which changes no bit.
     """
@@ -379,7 +390,7 @@ def _steady(t: _Table, undefined: np.ndarray, dark: np.ndarray, pinned: np.ndarr
         out_of_range = ~((rho44 >= 0.0) & (rho44 <= 1.0))
         invalid |= out_of_range
         W[0, DARK_STATE] += dark
-    q, stuck, rows = _gth(W)
+    q, stuck = _gth(W)
     if np.count_nonzero(invalid | undefined) or stuck is not None:
         failures.record(dark & ~pinned, UnderdeterminedError,
                         "fully common coupling leaves the dark-state population free; "
@@ -394,12 +405,12 @@ def _steady(t: _Table, undefined: np.ndarray, dark: np.ndarray, pinned: np.ndarr
             for k in np.unique(stuck[stuck >= 0]):
                 failures.record(stuck == k, SteadyStateError,
                                 f"state {k} has no outflow to the states below it")
-        q = np.where(failures.ok[:, None], q, np.nan)
+        q = np.where(failures.ok, q, np.nan)
     p = q
     if pins:
-        p = q * (1.0 - rho44[:, None])
-        p[:, DARK_STATE] += rho44
-    return _Steady(p, failures, W, rows, q)
+        p = q * (1.0 - rho44)
+        p[DARK_STATE] += rho44
+    return _Steady(p, failures, W, q)
 
 
 class Solution(NamedTuple):
@@ -407,7 +418,9 @@ class Solution(NamedTuple):
 
     populations: (N, 8) steady populations, NaN rows where the steady state
     failed.  currents: (N, 3) heat currents (Q_L, Q_M, Q_R) of those
-    populations, and residual: (N,) their max|W p|.  alpha: (N, 2)
+    populations, and residual: (N,) their max|W p| in units of the point's
+    largest gamma, so one threshold means the same at every rate scale
+    (about 1e-16 at a steady state, of order 1 far from it).  alpha: (N, 2)
     amplification factors (alpha_L, alpha_R), NaN where not requested or
     failed.  errors: per point None, or the typed domain error that stopped
     it (only alpha, where the populations are finite).
@@ -463,11 +476,10 @@ def _response(t: _Table, steady: _Steady, control: str) -> np.ndarray:
     """
     on = (ROW_RESERVOIR == RESERVOIRS.index(control))[:, None]
     d_rate = np.where(on, t.rate * t.nbar * (t.nbar + 1.0) * t.omega / (t.T * t.T), 0.0)
-    d_flow = _flow(d_rate, d_rate, steady.populations.T)
-    dp = _derivative(steady.factors, steady.rows, steady.stationary,
-                     -_rate_of_change(d_flow).T)
-    hp, hw = _row_heat(t, _flow(t.down, t.up, dp.T)), _row_heat(t, d_flow)
-    terms = np.empty((6, 8, len(dp)))
+    d_flow = _flow(d_rate, d_rate, steady.populations)
+    dp = _derivative(steady.factors, steady.stationary, -_rate_of_change(d_flow))
+    hp, hw = _row_heat(t, _flow(t.down, t.up, dp)), _row_heat(t, d_flow)
+    terms = np.empty((6, 8, dp.shape[1]))
     np.add(hp, hw, out=terms[:3])
     np.add(np.abs(hp, out=hp), np.abs(hw, out=hw), out=terms[3:])
     return terms
@@ -512,8 +524,8 @@ def _solve_chunk(x: np.ndarray, pinned: np.ndarray, rho44: np.ndarray, control: 
     t, undefined = _table(columns)
     steady = _steady(t, undefined, _dark(columns), pinned, rho44)
     p, failures = steady.populations, steady.failures
-    q, residual[...] = _heat(t, p.T)
-    populations[...], currents[...] = p, q.T
+    q, residual[...] = _heat(t, p)
+    populations[...], currents[...] = p.T, q.T
     if control is not None:
         terms = _tree(_response(t, steady, control))
         dQ, size = terms[:3], terms[3:]
@@ -551,7 +563,7 @@ def steady_state(params: SystemParams, rho44_init: float | None = None) -> np.nd
     steady = _steady(*_cached_table(params), np.array([params.fully_common]),
                      *_pins([rho44_init]))
     _raise_first(steady.failures.errors)
-    return steady.populations[0]
+    return steady.populations[:, 0]
 
 
 def _check_populations(p: np.ndarray) -> np.ndarray:

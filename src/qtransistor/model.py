@@ -165,25 +165,27 @@ def build_hamiltonian(params: SystemParams) -> np.ndarray:
     return H
 
 
-def closed_forms(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def closed_forms(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Eigenvalues and mixing angles of N points, points on the last axis.
 
     x holds the points' input rows as columns, (12, N) with rows in
     FIELD_NAMES order (only omega_L, omega_M and g are read); the kernel,
     dynamics._solve, passes at most dynamics.CHUNK points.  Returns the
     (8, N) eigenvalues in the pairing order (R, L, M, 4 | 4, M, L, R) and
-    the (3, N) angles (beta_R, beta_L, beta_M).  For each doublet
-    w = omega_R, omega_L, omega_M: e = sqrt(w^2 + g^2) and
-    sin(beta) = g / sqrt((e + w)^2 + g^2), so beta lies in (0, pi/4] for g > 0
-    and is 0 at g = 0 (w > 0).
+    the (3, N) cosines and sines of the angles (beta_R, beta_L, beta_M).
+    For each doublet w = omega_R, omega_L, omega_M: e = sqrt(w^2 + g^2),
+    h = sqrt((e + w)^2 + g^2), cos(beta) = (e + w) / h and
+    sin(beta) = g / h, by square roots and divisions alone, so beta lies in
+    (0, pi/4] for g > 0 and is 0 at g = 0 (w > 0).
     """
     w = np.concatenate([x[:1] + x[1:2], x[:2]])
     g = x[2:3]
     gg = g * g
     e = np.sqrt(w * w + gg)
     ew = e + w
+    h = np.sqrt(ew * ew + gg)
     eigenvalues = np.concatenate([-e, -g, g, e[::-1]])
-    return eigenvalues, np.arcsin(g / np.sqrt(ew * ew + gg))
+    return eigenvalues, ew / h, g / h
 
 
 def mixing_angle(omega_i: float, g: float) -> float:
@@ -202,7 +204,7 @@ def mixing_angle(omega_i: float, g: float) -> float:
         return 0.25 * math.pi
     if g == 0.0:
         return 0.0
-    return float(closed_forms(np.array([[omega_i], [omega_i], [g]]))[1][1, 0])
+    return float(np.arcsin(closed_forms(np.array([[omega_i], [omega_i], [g]]))[2][1, 0]))
 
 
 def _ket(label: str) -> np.ndarray:
@@ -222,9 +224,9 @@ def analytic_eigensystem(params: SystemParams) -> EigenSystem:
     Each eigenvector is a superposition of exactly two computational basis
     states related by flipping all three qubits.
     """
-    eigenvalues, beta = closed_forms(input_rows([params]).T)
+    eigenvalues, _, sin = closed_forms(input_rows([params]).T)
     # the central doublet has beta_4 = pi/4 for every g (see mixing_angle)
-    angles = MixingAngles(*beta[:, 0].tolist(), beta_4=0.25 * math.pi)
+    angles = MixingAngles(*np.arcsin(sin[:, 0]).tolist(), beta_4=0.25 * math.pi)
     (cR, cL, cM, c4), (sR, sL, sM, s4) = np.cos(angles), np.sin(angles)
 
     V = np.column_stack([

@@ -23,9 +23,10 @@ class HeatCurrentTriple:
     """Steady heat currents into the system from the three reservoirs.
 
     steady_residual records max|W p| of the population vector the currents
-    were computed from; transient states are allowed (is_steady then flags
-    the result) and the currents are still meaningful as instantaneous
-    flows.
+    were computed from, in units of the point's largest gamma, so that
+    STEADY_RESIDUAL_TOL means the same at every rate scale; transient
+    states are allowed (is_steady then flags the result) and the currents
+    are still meaningful as instantaneous flows.
     """
 
     Q_L: float

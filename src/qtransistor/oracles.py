@@ -277,11 +277,12 @@ def heat_currents_trace(params: SystemParams, p: np.ndarray) -> HeatCurrentTripl
 
     Built from the full per-reservoir Lindblad superoperator instead of the
     pairwise transition sum; must match heat_currents to solver precision.
+    The residual max|W p| is in units of the largest gamma, as there.
     """
     p = np.asarray(p, dtype=float)
     eig = analytic_eigensystem(params)
     W = rate_matrix(params)
-    residual = float(np.max(np.abs(W @ p)))
+    residual = float(np.max(np.abs(W @ p))) / max(params.gamma_L, params.gamma_M, params.gamma_R)
     rho_vec = np.diag(p).reshape(64)
     drho = [(dissipator_superoperator(params, nu) @ rho_vec).reshape(8, 8) for nu in RESERVOIRS]
     return HeatCurrentTriple(*(float(np.sum(eig.eigenvalues * np.diag(d))) for d in drho),

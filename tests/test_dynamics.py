@@ -34,7 +34,7 @@ from qtransistor import (
 )
 import qtransistor
 from qtransistor import dynamics, heat_currents
-from qtransistor.channels import ROW_RESERVOIR, channels_analytic
+from qtransistor.channels import ROW_I, ROW_J, ROW_RESERVOIR, channels_analytic
 from qtransistor.dynamics import solve
 from qtransistor.model import input_rows
 from qtransistor.oracles import _propagate, relaxation_horizon, slowest_relaxation_rate
@@ -172,12 +172,13 @@ class TestRateMatrix:
 
 
 def without_outflow(params):
-    """params at gamma = 1e-300 and lambda = 1 - 2^-53: every rate of state 3,
-    gamma (1 - lambda)^2 cos(beta)^2 / 2 ~ 1e-333, underflows to 0, so
-    nothing leaves it."""
+    """params with state 3 stuck: at lambda1 = 1 its L rows have amplitude 0,
+    and at gamma_M = gamma_R = 1e-300 and lambda2 = lambda3 = 1 - 2^-53 its
+    M and R rates, gamma (1 - lambda)^2 cos(beta)^2 / 2 ~ 1e-333, underflow
+    to 0, also in units of the largest gamma, gamma_L = 1: nothing leaves it."""
     lam = 1.0 - 2.0 ** -53
-    return params.replace(gamma_L=1e-300, gamma_M=1e-300, gamma_R=1e-300,
-                          lambda1=lam, lambda2=lam, lambda3=lam)
+    return params.replace(gamma_L=1.0, gamma_M=1e-300, gamma_R=1e-300,
+                          lambda1=1.0, lambda2=lam, lambda3=lam)
 
 
 def dark_limit(params):
@@ -311,6 +312,19 @@ def scalar_rate_matrix(params):
     return W
 
 
+def tree(h):
+    """The sum of 8 Python floats in `dynamics._tree`'s order."""
+    return ((h[0] + h[1]) + (h[2] + h[3])) + ((h[4] + h[5]) + (h[6] + h[7]))
+
+
+def sequential(terms):
+    """The sum of Python floats from the first term to the last."""
+    total = terms[0]
+    for term in terms[1:]:
+        total += term
+    return total
+
+
 def mixed_draws(n=200, seed=2031):
     """Validated-regime draws, every tenth dark-pinned with a seeded rho44."""
     rng = np.random.default_rng(seed)
@@ -430,21 +444,47 @@ class TestBatchedKernel:
         x = input_rows(params).T
         t, undefined = dynamics._table(x)
         steady = dynamics._steady(t, undefined, dynamics._dark(x), *dynamics._pins(pins))
-        heat = dynamics._row_heat(t, dynamics._flow(t.down, t.up, steady.populations.T))
+        heat = dynamics._row_heat(t, dynamics._flow(t.down, t.up, steady.populations))
         terms = dynamics._response(t, steady, "M")
         sol = solve(params, pins, control="M")
 
-        def tree(h):
-            return ((h[0] + h[1]) + (h[2] + h[3])) + ((h[4] + h[5]) + (h[6] + h[7]))
-
         for n in range(len(params)):
-            currents = [tree(h[:, n].tolist()) for h in heat]
+            # summed in units of 2^scale, then scaled back
+            currents = [math.ldexp(tree(h[:, n].tolist()), int(t.scale[n])) for h in heat]
             assert np.array(currents).tobytes() == sol.currents[n].tobytes()
             dQ, size = ([tree(h[:, n].tolist()) for h in part] for part in (terms[:3], terms[3:]))
             others = [dQ[2] + dQ[1], dQ[0] + dQ[2], dQ[1] + dQ[0]]
             others_size = [size[2] + size[1], size[0] + size[2], size[1] + size[0]]
             dQ = [-o if s > os else q for q, s, o, os in zip(dQ, size, others, others_size)]
             assert np.array([dQ[0] / dQ[1], dQ[2] / dQ[1]]).tobytes() == sol.alpha[n].tobytes()
+
+    def test_residual_and_steady_states_add_in_the_stated_order(self):
+        # W p, GTH's back substitution and its normalisation, recomputed in
+        # Python floats from the kernel's own arrays in the order the code
+        # states: a state's 6 signed row flows and each dot from the first
+        # term to the last, the normalising sum by `_tree`
+        params, pins = mixed_draws()
+        x = input_rows(params).T
+        t, undefined = dynamics._table(x)
+        steady = dynamics._steady(t, undefined, dynamics._dark(x), *dynamics._pins(pins))
+        A = steady.factors
+        unscaled = dynamics._back_substitute(A, 1.0)
+        flow = dynamics._flow(t.down, t.up, steady.populations)
+        sol = solve(params, pins)
+        touch = [[(r, -1.0 if ROW_I[r] == k else 1.0) for r in range(24)
+                  if k in (ROW_I[r], ROW_J[r])] for k in range(8)]
+        for n in range(len(params)):
+            f = flow[:, n].tolist()
+            rates = [sequential([sign * f[r] for r, sign in rows]) for rows in touch]
+            residual = max(abs(v) for v in rates) / float(t.unit[n])
+            assert np.float64(residual).tobytes() == sol.residual[n].tobytes()
+            a = A[:, :, n].tolist()
+            q = [1.0]
+            for k in range(1, 8):
+                q.append(sequential([a[k][j] * q[j] for j in range(k)]) / a[k][k])
+            assert np.array(q).tobytes() == unscaled[:, n].tobytes()
+            total = tree(q)
+            assert np.array([v / total for v in q]).tobytes() == steady.stationary[:, n].tobytes()
 
     def test_currents_do_not_follow_the_table_layout(self):
         # the row heats of a table laid out column-major are summed in the same order
@@ -531,6 +571,62 @@ class TestBatchedKernel:
         for n, (point, pin) in enumerate(zip(points, pins)):
             ref = mp_steady_state(rate_matrix(point), rho44_init=pin)
             np.testing.assert_allclose(sol.populations[n], ref, rtol=POPULATION_RTOL, atol=0)
+
+
+class TestRateScale:
+    def test_power_of_two_gammas_scale_only_the_currents(self, fig2_params, dark_params):
+        # every gamma times 2^k: the kernel's rates, in units of the power of two
+        # below the largest gamma, are the same numbers, so p, alpha, the
+        # residual (in units of the largest gamma) and the errors keep their
+        # bytes and Q is multiplied by exactly 2^k, for every k that keeps
+        # the gammas and the currents normal
+        params, pins = mixed_draws(40)
+        failing = [(dark_params, None), (without_outflow(fig2_params), None), (fig2_params, 0.3),
+                   (dark_params, 1.5), (fig2_params.replace(T_M=0.001), None),
+                   (fig2_params.replace(omega_M=30.0), None)]
+        params += [point for point, _ in failing]
+        pins += [pin for _, pin in failing]
+        x = input_rows(params)
+        pinned, rho44 = dynamics._pins(pins)
+        base = dynamics._solve(x, pinned, rho44, "M")
+        assert sum(error is None for error in base.errors) == 40
+        tiny, huge = np.finfo(float).tiny, np.finfo(float).max
+
+        def normal(v):
+            return (v == 0.0) | ((np.abs(v) >= tiny) & (np.abs(v) <= huge))
+
+        checked = 0
+        for k in range(-1100, 1101):
+            if k == 0:
+                continue
+            with np.errstate(over="ignore", under="ignore"):
+                gammas = np.ldexp(x[:, 6:9], k)
+                Q = np.ldexp(base.currents, k)
+            keep = np.flatnonzero(((gammas >= tiny) & (gammas <= huge)).all(axis=1))
+            if not keep.size:
+                continue
+            scaled = x[keep].copy()
+            scaled[:, 6:9] = gammas[keep]
+            sol = dynamics._solve(scaled, pinned[keep], rho44[keep], "M")
+            for got, expected in zip(sol[:4], base[:4]):
+                if got is not sol.currents:
+                    assert got.tobytes() == expected[keep].tobytes(), k
+            assert list(map(repr, sol.errors)) == [repr(base.errors[n]) for n in keep], k
+            Q = Q[keep]
+            exact = (normal(Q) & normal(base.currents[keep])).all(axis=1)
+            assert sol.currents[exact].tobytes() == Q[exact].tobytes(), k
+            checked += np.count_nonzero(exact)
+        assert checked > 40 * 1500
+
+    @pytest.mark.parametrize("gamma", [1e-200, 1e-290, 1e-300])
+    def test_tiny_rates_keep_their_steady_state(self, fig2_params, gamma):
+        # at lambda = 1 - 2^-53 the rates of state 3 are ~1e-32 of the others:
+        # in absolute terms they underflowed below gamma ~ 1e-276
+        lam = 1.0 - 2.0 ** -53
+        near = fig2_params.replace(lambda1=lam, lambda2=lam, lambda3=lam)
+        p = steady_state(near.replace(gamma_L=gamma, gamma_M=gamma, gamma_R=gamma))
+        assert p[3] > 4e-4
+        np.testing.assert_allclose(p, steady_state(near), rtol=POPULATION_RTOL, atol=0)
 
 
 def fresh(call, *args, **kwargs):

@@ -93,6 +93,22 @@ class TestHeatCurrents:
         assert not q.is_steady
         assert q.steady_residual > 1e-8
 
+    # the residual is in units of the largest gamma, so one threshold holds at
+    # every rate scale: in absolute terms the exact steady state's rounding
+    # reads ~5e-5 at gamma_L = 1e12, and the ground state e_0 moves by ~3e-10
+    # at gamma_L = 1e-9
+    @pytest.mark.parametrize("gamma", [1e-9, 0.002, 1e12])
+    def test_residual_is_in_units_of_the_largest_gamma(self, fig2_params, gamma):
+        params = fig2_params.replace(gamma_L=gamma, gamma_M=gamma / 2, gamma_R=gamma / 3)
+        steady = heat_currents(params, steady_state(params))
+        assert steady.is_steady
+        assert steady.Q_L > 0 and steady.Q_R < 0
+        transient = heat_currents(params, np.eye(8)[0])
+        assert not transient.is_steady
+        assert transient.steady_residual > 1e-8
+        assert heat_currents_trace(params, np.eye(8)[0]).steady_residual == pytest.approx(
+            transient.steady_residual, rel=1e-12)
+
     @pytest.mark.parametrize("p", [[0.5, 0.5], np.full((1, 8), 0.125), np.ones(9) / 9])
     def test_rejects_population_vector_of_wrong_shape(self, fig2_params, p):
         with pytest.raises(ParameterError, match="must have 8 components"):
