@@ -2,6 +2,8 @@
 
 Steady states of the global master equation, heat currents, amplification
 factors, dark-state heat modulation and the parameter sweeps behind them.
+The independent references these numbers are tested against live in
+qtransistor.oracles, which importing the package does not load.
 """
 
 from .channels import DissipationChannel, channels_analytic
@@ -47,19 +49,6 @@ from .observables import (
     amplification_factor,
     heat_currents,
 )
-from .oracles import (
-    FrequencyAmbiguityError,
-    SingularDenominatorError,
-    closed_form_discrepancy,
-    closed_form_populations,
-    decompose_numeric,
-    dissipator_superoperator,
-    evolve_density_matrix,
-    evolve_populations,
-    heat_currents_trace,
-    jump_operators,
-    positive_frequency_part,
-)
 
 __version__ = "0.1.0"
 
@@ -71,7 +60,6 @@ __all__ = [
     "DissipationChannel",
     "DriveSpec",
     "EigenSystem",
-    "FrequencyAmbiguityError",
     "HeatCurrentTriple",
     "LambdaScan",
     "MixingAngles",
@@ -80,7 +68,6 @@ __all__ = [
     "ParameterError",
     "PopulationCurves",
     "SecularReport",
-    "SingularDenominatorError",
     "SteadyStateError",
     "SweepResult",
     "SweepSpec",
@@ -92,18 +79,9 @@ __all__ = [
     "bose_occupation",
     "build_hamiltonian",
     "channels_analytic",
-    "closed_form_discrepancy",
-    "closed_form_populations",
-    "decompose_numeric",
-    "dissipator_superoperator",
-    "evolve_density_matrix",
-    "evolve_populations",
     "heat_currents",
-    "heat_currents_trace",
-    "jump_operators",
     "mixing_angle",
     "optimize_lambda",
-    "positive_frequency_part",
     "rate_matrix",
     "run_modulation",
     "run_populations",

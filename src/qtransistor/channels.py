@@ -5,9 +5,11 @@ single-qubit lowering with a lambda-weighted two-qubit transition.  In the
 energy eigenbasis the lowering part of S_nu splits into channels S_{nu,k},
 one per positive Bohr frequency, each holding at most two transition
 amplitudes.  Their closed forms are stated once, as the 24 rows of
-TRANSITIONS evaluated by transition_rows: channels_analytic groups them
-into channels, and the kernel table of dynamics reads the same rows; a row
-carries a rate exactly where its amplitude is nonzero, with no cut-off.
+TRANSITIONS evaluated by transition_rows: the kernel table of dynamics and
+the channels-dump command read the rows as they are, and channels_analytic
+groups them into DissipationChannel objects for the references in oracles
+and the tests; a row carries a rate exactly where its amplitude is
+nonzero, with no cut-off.
 """
 
 from __future__ import annotations
@@ -113,12 +115,3 @@ def channels_analytic(params: SystemParams) -> list[DissipationChannel]:
         channels.append(DissipationChannel(TRANSITIONS[2 * c][2], c % 4 + 1, omega[2 * c],
                                            op, amplitudes))
     return channels
-
-
-def channel_table(channels: list[DissipationChannel]) -> list[tuple]:
-    """Flat rows (reservoir, k, frequency, i, j, amplitude), 1-based states."""
-    rows = []
-    for ch in channels:
-        for i, j, a in ch.amplitudes:
-            rows.append((ch.reservoir, ch.index, ch.frequency, i + 1, j + 1, a))
-    return rows

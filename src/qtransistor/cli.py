@@ -13,7 +13,10 @@ all of its operating points in one batched call (see
 qtransistor.dynamics.solve), and a sweep's CSV rows are formatted from
 that call's columns (experiments.SweepResult); the argument parser is
 built once, when the module is imported.  populations reads its T_M grid
-as sweep does (sweep_from_config).  Exit codes: 0 success, 2 invalid
+as sweep does (sweep_from_config).  channels-dump prints the rows of
+channels.transition_rows with a nonzero amplitude, in TRANSITIONS order:
+channel c holds rows 2c and 2c + 1, the k = c % 4 + 1-th of its reservoir,
+and a row's frequency is its own omega.  Exit codes: 0 success, 2 invalid
 configuration (a config file that is not UTF-8 included), unwritable
 output, or a point that populations or modulate cannot solve (a domain
 error of the kernel, SteadyStateError), 3 every sweep point failed.
@@ -26,7 +29,7 @@ import sys
 
 import numpy as np
 
-from .channels import channel_table, channels_analytic
+from .channels import TRANSITIONS, transition_rows
 from .dynamics import SteadyStateError
 from .experiments import (
     ConfigError,
@@ -45,7 +48,7 @@ from .experiments import (
     write_population_csv,
     write_sweep_csv,
 )
-from .model import RESERVOIRS, ParameterError, validate_secular
+from .model import RESERVOIRS, ParameterError, input_rows, validate_secular
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -149,11 +152,12 @@ def _cmd_populations(args) -> int:
 
 
 def _cmd_channels_dump(args) -> int:
-    cfg = load_config(args.config)
-    params = params_from_config(cfg)
+    params = params_from_config(load_config(args.config))
+    omega, a = (column[:, 0].tolist() for column in transition_rows(input_rows([params]).T))
     rows = ["reservoir,k,frequency,i,j,amplitude"]
-    for nu, k, freq, i, j, a in channel_table(channels_analytic(params)):
-        rows.append(f"{nu},{k},{fmt(freq)},{i},{j},{fmt(a)}")
+    for r, (i, j, nu, *_) in enumerate(TRANSITIONS):
+        if a[r]:  # channel r // 2, the k-th of its reservoir
+            rows.append(f"{nu},{r // 2 % 4 + 1},{fmt(omega[r])},{i + 1},{j + 1},{fmt(a[r])}")
     write_lines(rows, args.out)
     return EXIT_OK
 

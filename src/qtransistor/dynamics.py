@@ -1,4 +1,4 @@
-"""Master-equation dynamics: rate equations, steady states, drives.
+"""Master-equation dynamics: rate equations, steady states, the population drive.
 
 In the energy eigenbasis the populations close on themselves: they obey a
 classical rate equation p' = W p.  One batched kernel, `_solve`, computes
@@ -116,18 +116,17 @@ class _Table(NamedTuple):
     """Transition table of N points: (24, N) arrays, row r as channels.TRANSITIONS[r].
 
     `_solve` builds one per chunk, so there N <= CHUNK.
-    omega is the Bohr frequency eps_j - eps_i of row (i, j), rate = gamma a^2
-    in units of 2^scale, T and nbar the temperature and Bose occupation of
-    the row's reservoir at omega (nbar 0 on rows with a = 0, and where it is
-    undefined).  down = rate (nbar + 1) and up = rate nbar are the transfer
-    rates j -> i and i -> j in those units.  scale (N,) is the np.frexp
-    exponent of the point's largest gamma, and unit its largest gamma in
-    units of 2^scale, in [0.5, 1): rates, p and alpha do not change when
-    every gamma is multiplied by a power of two.
+    omega is the Bohr frequency eps_j - eps_i of row (i, j), T and nbar the
+    temperature and Bose occupation of the row's reservoir at omega (nbar 0
+    on rows with a = 0, and where it is undefined).  With rate = gamma a^2 in
+    units of 2^scale, down = rate (nbar + 1) and up = rate nbar are the
+    transfer rates j -> i and i -> j in those units.  scale (N,) is the
+    np.frexp exponent of the point's largest gamma, and unit its largest
+    gamma in units of 2^scale, in [0.5, 1): rates, p and alpha do not change
+    when every gamma is multiplied by a power of two.
     """
 
     omega: np.ndarray
-    rate: np.ndarray
     T: np.ndarray
     nbar: np.ndarray
     down: np.ndarray
@@ -157,7 +156,7 @@ def _table(x: np.ndarray) -> tuple[_Table, np.ndarray]:
     z = np.full(omega.shape, np.inf)
     np.divide(omega, T, out=z, where=defined)
     nbar = _nbar(z)
-    return (_Table(omega, rate, T, nbar, rate * (nbar + 1.0), rate * nbar, unit, scale),
+    return (_Table(omega, T, nbar, rate * (nbar + 1.0), rate * nbar, unit, scale),
             (coupled & ~defined).any(axis=0))
 
 
@@ -475,7 +474,7 @@ def _response(t: _Table, steady: _Steady, control: str) -> np.ndarray:
     numpy's pairwise sum of its 8 hp followed by its 8 hw would.
     """
     on = (ROW_RESERVOIR == RESERVOIRS.index(control))[:, None]
-    d_rate = np.where(on, t.rate * t.nbar * (t.nbar + 1.0) * t.omega / (t.T * t.T), 0.0)
+    d_rate = np.where(on, t.up * (t.nbar + 1.0) * t.omega / (t.T * t.T), 0.0)
     d_flow = _flow(d_rate, d_rate, steady.populations)
     dp = _derivative(steady.factors, steady.stationary, -_rate_of_change(d_flow))
     hp, hw = _row_heat(t, _flow(t.down, t.up, dp)), _row_heat(t, d_flow)
@@ -575,21 +574,6 @@ def _check_populations(p: np.ndarray) -> np.ndarray:
     return p
 
 
-def _check_density_matrix(rho: np.ndarray) -> np.ndarray:
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (8, 8):
-        raise ParameterError("density matrix must be 8x8")
-    if not np.all(np.abs(rho) < math.inf):  # also rejects nan
-        raise ParameterError("density matrix entries must be finite")
-    if np.max(np.abs(rho - rho.conj().T)) > 1e-10:
-        raise ParameterError("density matrix must be Hermitian")
-    if abs(np.trace(rho).real - 1.0) > 1e-8 or abs(np.trace(rho).imag) > 1e-10:
-        raise ParameterError("density matrix must have unit trace")
-    if np.linalg.eigvalsh(rho).min() < -1e-10:
-        raise ParameterError("density matrix must be positive semidefinite")
-    return rho
-
-
 @dataclass(frozen=True)
 class DriveSpec:
     """Resonant two-level drive between the eigenstates of DRIVEN_PAIR.
@@ -612,34 +596,19 @@ class DriveSpec:
                                  "must be non-negative and finite")
 
 
-def drive_unitary(drive: DriveSpec) -> np.ndarray:
-    """8x8 unitary exp(i Omega delta_t (|a><b| + |b><a|)) on the driven pair."""
-    a, b = DRIVEN_PAIR
-    theta = drive.Omega * drive.delta_t
-    U = np.eye(8, dtype=complex)
-    U[a, a] = U[b, b] = math.cos(theta)
-    U[a, b] = U[b, a] = 1j * math.sin(theta)
-    return U
+def apply_drive(p: np.ndarray, drive: DriveSpec) -> np.ndarray:
+    """Rabi-rotate the populations p of the driven pair by theta = Omega delta_t.
 
-
-def apply_drive(state: np.ndarray, drive: DriveSpec) -> np.ndarray:
-    """Rabi-rotate the driven pair of a population vector or density matrix.
-
-    Populations mix as p_a' = p_a cos^2 + p_b sin^2 (and symmetrically);
-    a density matrix is conjugated by the full pair unitary.
+    p_a' = p_a cos^2 theta + p_b sin^2 theta and p_b' = p_b cos^2 theta +
+    p_a sin^2 theta, the diagonal of the pair unitary's conjugation (its
+    density-matrix form is oracles.drive_density_matrix); p must be a
+    population vector of 8 components.
     """
-    state = np.asarray(state)
+    p = _check_populations(p).copy()
     a, b = DRIVEN_PAIR
-    if state.ndim == 1:
-        p = _check_populations(state).copy()
-        c2 = math.cos(drive.Omega * drive.delta_t) ** 2
-        s2 = math.sin(drive.Omega * drive.delta_t) ** 2
-        pa, pb = p[a], p[b]
-        p[a] = pa * c2 + pb * s2
-        p[b] = pb * c2 + pa * s2
-        return p
-    if state.ndim == 2:
-        rho = _check_density_matrix(state)
-        U = drive_unitary(drive)
-        return U @ rho @ U.conj().T
-    raise ParameterError("state must be a population vector or a density matrix")
+    c2 = math.cos(drive.Omega * drive.delta_t) ** 2
+    s2 = math.sin(drive.Omega * drive.delta_t) ** 2
+    pa, pb = p[a], p[b]
+    p[a] = pa * c2 + pb * s2
+    p[b] = pb * c2 + pa * s2
+    return p

@@ -2,7 +2,9 @@
 
 Each route here recomputes, by another construction, numbers that
 channels, dynamics and observables compute, and serves only to test that
-the two agree; no kernel module imports this one.
+the two agree.  No other module of the package imports this one, so
+neither `import qtransistor` nor a command loads it; its names are reached
+as qtransistor.oracles.*.
 
 * jump_operators builds the collective operators S_nu in the computational
   basis, and decompose_numeric regroups their eigenbasis entries by Bohr
@@ -18,7 +20,9 @@ the two agree; no kernel module imports this one.
   evolve_populations and evolve_density_matrix propagate the rate equation
   and the master equation exactly, one matrix exponential per time step.
   Coherences decay independently, so the steady state is diagonal; the
-  density-matrix propagator checks that claim.
+  density-matrix propagator checks that claim.  drive_density_matrix
+  conjugates a density matrix by the drive's pair unitary, against the
+  population rotation of apply_drive.
 * heat_currents_trace takes the currents as Tr(H L_nu[rho]) instead of the
   pairwise transition sum of heat_currents.
 * closed_form_populations solves the fully common coupling reduction in
@@ -34,8 +38,9 @@ import numpy as np
 
 from .channels import DissipationChannel, channels_analytic
 from .dynamics import (
+    DRIVEN_PAIR,
+    DriveSpec,
     SteadyStateError,
-    _check_density_matrix,
     _check_populations,
     bose_occupation,
     rate_matrix,
@@ -226,6 +231,37 @@ def dissipator_superoperator(params: SystemParams, reservoir: str | None = None)
         D += gamma * (n + 1.0) * _dissipator_term(ch.operator)
         D += gamma * n * _dissipator_term(ch.operator.T)
     return D
+
+
+def _check_density_matrix(rho: np.ndarray) -> np.ndarray:
+    rho = np.asarray(rho, dtype=complex)
+    if rho.shape != (8, 8):
+        raise ParameterError("density matrix must be 8x8")
+    if not np.all(np.abs(rho) < math.inf):  # also rejects nan
+        raise ParameterError("density matrix entries must be finite")
+    if np.max(np.abs(rho - rho.conj().T)) > 1e-10:
+        raise ParameterError("density matrix must be Hermitian")
+    if abs(np.trace(rho).real - 1.0) > 1e-8 or abs(np.trace(rho).imag) > 1e-10:
+        raise ParameterError("density matrix must have unit trace")
+    if np.linalg.eigvalsh(rho).min() < -1e-10:
+        raise ParameterError("density matrix must be positive semidefinite")
+    return rho
+
+
+def drive_density_matrix(rho: np.ndarray, drive: DriveSpec) -> np.ndarray:
+    """Conjugate the density matrix rho by the drive's pair unitary.
+
+    U = exp(i theta (|a><b| + |b><a|)) on DRIVEN_PAIR (a, b), theta = Omega
+    delta_t; the diagonal of U rho U^dagger is what dynamics.apply_drive
+    gives for the populations diag(rho).
+    """
+    rho = _check_density_matrix(rho)
+    a, b = DRIVEN_PAIR
+    theta = drive.Omega * drive.delta_t
+    U = np.eye(8, dtype=complex)
+    U[a, a] = U[b, b] = math.cos(theta)
+    U[a, b] = U[b, a] = 1j * math.sin(theta)
+    return U @ rho @ U.conj().T
 
 
 def evolve_density_matrix(

@@ -16,12 +16,7 @@ from qtransistor import (
     apply_drive,
     build_hamiltonian,
     channels_analytic,
-    closed_form_discrepancy,
-    decompose_numeric,
-    evolve_density_matrix,
-    evolve_populations,
     heat_currents,
-    jump_operators,
     optimize_lambda,
     rate_matrix,
     run_modulation,
@@ -31,7 +26,14 @@ from qtransistor import (
 from qtransistor.cli import main
 from qtransistor.dynamics import DriveSpec
 from qtransistor.experiments import load_config, params_from_config, sweep_from_config
-from qtransistor.oracles import relaxation_horizon
+from qtransistor.oracles import (
+    closed_form_discrepancy,
+    decompose_numeric,
+    evolve_density_matrix,
+    evolve_populations,
+    jump_operators,
+    relaxation_horizon,
+)
 from qtransistor.presets import PRESETS
 
 from conftest import random_params

@@ -2,16 +2,19 @@ import numpy as np
 import pytest
 
 from qtransistor import (
-    FrequencyAmbiguityError,
     analytic_eigensystem,
     build_hamiltonian,
     channels_analytic,
+)
+from qtransistor.cli import main
+from qtransistor.experiments import load_config, params_from_config
+from qtransistor.model import basis_index
+from qtransistor.oracles import (
+    FrequencyAmbiguityError,
     decompose_numeric,
     jump_operators,
     positive_frequency_part,
 )
-from qtransistor.channels import channel_table
-from qtransistor.model import basis_index
 
 from conftest import random_params
 
@@ -193,9 +196,24 @@ class TestNumericDecomposition:
         assert len(channels[0].amplitudes) == 6
 
 
-def test_channel_table_rows(fig2_params):
-    rows = channel_table(channels_analytic(fig2_params))
-    assert len(rows) == 24
-    for nu, k, freq, i, j, a in rows:
-        assert nu in "LMR" and 1 <= k <= 4
-        assert freq > 0 and 1 <= i < j <= 8 and a != 0
+# fig2's base point at g = 0, where some channels lose both amplitudes
+G0_CONFIG = ("omega_L = 30\nomega_M = 1\ng = 0\nT_L = 5\nT_M = 1\nT_R = 0.5\n"
+             "gamma = 0.002\naxis = T_M\nlo = 0.5\nhi = 1.5\npoints = 3\n")
+
+
+@pytest.mark.parametrize("config", ["fig2", "fig7a", "g0"])
+def test_channels_dump_prints_the_analytic_channels(config, tmp_path, capsys):
+    # the command prints the transition rows; channels_analytic groups the same rows
+    if config == "g0":
+        path = tmp_path / "g0.cfg"
+        path.write_text(G0_CONFIG)
+        config = str(path)
+    assert main(["channels-dump", "--config", config]) == 0
+    header, *lines = capsys.readouterr().out.splitlines()
+    assert header == "reservoir,k,frequency,i,j,amplitude"
+    rows = [(nu, int(k), float(freq), int(i) - 1, int(j) - 1, float(a))
+            for nu, k, freq, i, j, a in (line.split(",") for line in lines)]
+    channels = channels_analytic(params_from_config(load_config(config)))
+    assert rows == [(ch.reservoir, ch.index, ch.frequency, i, j, a)
+                    for ch in channels for i, j, a in ch.amplitudes]
+    assert any(not ch.amplitudes for ch in channels) == config.endswith("g0.cfg")

@@ -24,10 +24,6 @@ from qtransistor import (
     analytic_eigensystem,
     apply_drive,
     bose_occupation,
-    dissipator_superoperator,
-    evolve_density_matrix,
-    evolve_populations,
-    jump_operators,
     mixing_angle,
     rate_matrix,
     steady_state,
@@ -37,7 +33,16 @@ from qtransistor import dynamics, heat_currents
 from qtransistor.channels import ROW_I, ROW_J, ROW_RESERVOIR, channels_analytic
 from qtransistor.dynamics import solve
 from qtransistor.model import input_rows
-from qtransistor.oracles import _propagate, relaxation_horizon, slowest_relaxation_rate
+from qtransistor.oracles import (
+    _propagate,
+    dissipator_superoperator,
+    drive_density_matrix,
+    evolve_density_matrix,
+    evolve_populations,
+    jump_operators,
+    relaxation_horizon,
+    slowest_relaxation_rate,
+)
 
 from conftest import COLD, DARK_CROSSOVER_U, near_dark, random_params
 
@@ -777,7 +782,8 @@ def test_oracle_propagators_run_without_scipy():
         import sys
         sys.modules["scipy"] = None
         import numpy as np
-        from qtransistor import SystemParams, evolve_density_matrix, evolve_populations
+        from qtransistor import SystemParams
+        from qtransistor.oracles import evolve_density_matrix, evolve_populations
         fig2 = SystemParams(30.0, 1.0, 0.1, 5.0, 1.0, 0.5, 0.002, 0.002, 0.002, 0.7, 0.7, 0.7)
         t = np.array([0.0, 1.0, 2.0])
         p = evolve_populations(fig2, np.eye(8)[0], t)
@@ -795,17 +801,20 @@ ORACLE_NAMES = (
     "closed_form_discrepancy", "closed_form_populations", "decompose_numeric",
     "dissipator_superoperator", "evolve_density_matrix", "evolve_populations",
     "heat_currents_trace", "jump_operators", "positive_frequency_part",
+    "drive_density_matrix",
 )
 
 
 def test_kernel_modules_do_not_import_the_oracles():
-    # the references live in qtransistor.oracles, which imports the kernel, never the reverse
+    # the references live in qtransistor.oracles, which imports the kernel, never the
+    # reverse; the package root neither imports nor exports them
     from qtransistor import oracles
 
     package = os.path.dirname(qtransistor.__file__)
     kernel = [name for name in os.listdir(package)
-              if name.endswith(".py") and name not in ("oracles.py", "__init__.py")]
-    assert {"channels.py", "dynamics.py", "observables.py", "model.py"} <= set(kernel)
+              if name.endswith(".py") and name != "oracles.py"]
+    assert {"__init__.py", "channels.py", "dynamics.py", "observables.py",
+            "model.py"} <= set(kernel)
     for name in kernel:
         with open(os.path.join(package, name), encoding="utf-8") as fh:
             tree = ast.parse(fh.read(), name)
@@ -818,8 +827,24 @@ def test_kernel_modules_do_not_import_the_oracles():
                 continue
             assert not any("oracles" in module.split(".") for module in imported), name
     for name in ORACLE_NAMES:
-        assert getattr(qtransistor, name) is getattr(oracles, name), name
-        assert name in qtransistor.__all__
+        assert getattr(oracles, name).__module__ == "qtransistor.oracles", name
+        assert name not in qtransistor.__all__, name
+
+
+def test_the_runtime_does_not_load_the_oracles():
+    # a fresh interpreter: neither the package root nor the command line loads the references
+    src = os.path.dirname(os.path.dirname(qtransistor.__file__))
+    code = """if True:
+        import sys
+        import qtransistor
+        print("qtransistor.oracles" in sys.modules)
+        import qtransistor.cli
+        print("qtransistor.oracles" in sys.modules)
+    """
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == ["False", "False"]
 
 
 class TestEvolvePopulations:
@@ -958,7 +983,7 @@ class TestApplyDrive:
     def test_density_matrix_route_agrees(self):
         p = np.array([0.1, 0.05, 0.05, 0.5, 0.05, 0.05, 0.05, 0.15])
         drive = DriveSpec(Omega=0.4, delta_t=1.3)
-        rho_out = apply_drive(np.diag(p).astype(complex), drive)
+        rho_out = drive_density_matrix(np.diag(p).astype(complex), drive)
         np.testing.assert_allclose(
             np.diagonal(rho_out).real, apply_drive(p, drive), atol=1e-14)
         assert np.trace(rho_out) == pytest.approx(1.0)
@@ -986,7 +1011,8 @@ class TestApplyDrive:
 
 # oracle-path inputs that a comparison test alone let through: nan and inf
 # times never reached the horizon, and nan populations, density matrices,
-# frequencies and temperatures came back as nan or an untyped LinAlgError
+# frequencies and temperatures came back as nan or an untyped LinAlgError;
+# apply_drive takes a population vector only, a density matrix goes to the oracle
 BAD_ORACLE_INPUTS = {
     "populations-nan-time": lambda x: evolve_populations(x, np.eye(8)[0], [0.0, math.nan]),
     "populations-inf-time": lambda x: evolve_populations(x, np.eye(8)[0], [0.0, math.inf]),
@@ -997,9 +1023,11 @@ BAD_ORACLE_INPUTS = {
     "nan-time-only": lambda x: evolve_populations(x, np.eye(8)[0], [math.nan]),
     "two-inf-times": lambda x: evolve_populations(x, np.eye(8)[0], [0.0, math.inf, math.inf]),
     "nan-populations": lambda x: apply_drive(np.full(8, math.nan), DriveSpec(1.0, 0.1)),
-    "nan-density-matrix": lambda x: apply_drive(np.full((8, 8), math.nan), DriveSpec(1.0, 0.1)),
-    "inf-density-matrix": lambda x: apply_drive(np.diag([math.inf] + [0.0] * 7),
-                                                DriveSpec(1.0, 0.1)),
+    "nan-density-matrix": lambda x: drive_density_matrix(np.full((8, 8), math.nan),
+                                                         DriveSpec(1.0, 0.1)),
+    "inf-density-matrix": lambda x: drive_density_matrix(np.diag([math.inf] + [0.0] * 7),
+                                                         DriveSpec(1.0, 0.1)),
+    "density-matrix-to-apply-drive": lambda x: apply_drive(np.eye(8) / 8.0, DriveSpec(1.0, 0.1)),
     "nan-omega": lambda x: bose_occupation(math.nan, 1.0),
     "nan-T": lambda x: bose_occupation(1.0, math.nan),
     "inf-T": lambda x: bose_occupation(1.0, math.inf),

@@ -9,16 +9,18 @@ from qtransistor import (
     ParameterError,
     amplification_factor,
     channels_analytic,
-    closed_form_discrepancy,
-    closed_form_populations,
     heat_currents,
-    heat_currents_trace,
     optimize_lambda,
     rate_matrix,
     steady_state,
 )
 
 from qtransistor.dynamics import solve
+from qtransistor.oracles import (
+    closed_form_discrepancy,
+    closed_form_populations,
+    heat_currents_trace,
+)
 
 from conftest import COLD, DARK_CROSSOVER_U, near_dark, random_params
 
