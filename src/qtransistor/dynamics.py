@@ -21,11 +21,15 @@ are NaN.  Every sum that feeds p, Q, alpha or the residual has an order
 the code states, none BLAS's: 8 terms add by `_tree`, fewer from the first
 to the last, as np.add.reduce adds them at every N (8 terms it would add
 pairwise at N = 1 only).
-rate_matrix, steady_state and (in observables) heat_currents and
-amplification_factor are its N = 1 calls.  The table reads its rows from
-channels.transition_rows, as channels_analytic does, and its Bose
-occupations from _nbar, which bose_occupation calls on one value, so one
-point's table equals their numbers bit for bit.
+amplification_factor (in observables) is its N = 1 call.  A query on one
+SystemParams, rate_matrix, steady_state and (in observables)
+heat_currents, runs the table, GTH and the heat once more on Python
+floats, the array kernel's operations in its order, so both give the same
+bytes: at N = 1 that arithmetic costs less than numpy's dispatch of it.
+The table reads its rows from channels.transition_rows, as
+channels_analytic does, and its Bose occupations from _nbar, which
+bose_occupation calls on one value, so one point's table equals their
+numbers bit for bit.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channels import ROW_I, ROW_J, ROW_RESERVOIR, transition_rows
+from .channels import FACTORS, ROW_I, ROW_J, ROW_RESERVOIR, TRANSITIONS, transition_rows
 from .model import RESERVOIRS, ParameterError, SystemParams, input_rows
 
 # 0-based index of the eigenstate that decouples at lambda = (1, 1, 1)
@@ -74,7 +78,14 @@ def _nbar(z: np.ndarray) -> np.ndarray:
     return np.exp(minus_z) / -np.expm1(minus_z)
 
 
+# the messages of the typed errors a steady state can end in, in the order
+# `_steady` and `_point_steady` check them
+_PIN_MISSING = ("fully common coupling leaves the dark-state population free; "
+                "supply rho44_init")
+_PIN_SUPERFLUOUS = "steady state is unique; rho44_init must not be supplied"
+_PIN_OUT_OF_RANGE = "rho44_init must lie in [0, 1]"
 _NBAR_UNDEFINED = "bose_occupation requires omega > 0"
+_NO_OUTFLOW = "state {} has no outflow to the states below it"
 
 
 def bose_occupation(omega: float, T: float) -> float:
@@ -160,28 +171,6 @@ def _table(x: np.ndarray) -> tuple[_Table, np.ndarray]:
             (coupled & ~defined).any(axis=0))
 
 
-@functools.lru_cache(maxsize=1)
-def _cached_table(params: SystemParams) -> tuple[_Table, np.ndarray]:
-    """`_table` of one point, read-only, kept for the next call with equal params.
-
-    Only single points are asked for twice in a row (steady_state, then
-    heat_currents), so one entry serves; a table depends on nothing but the
-    values of params, so a hit returns exactly what a rebuild would.
-    """
-    result = _table(input_rows([params]).T)
-    for array in (*result[0], result[1]):
-        array.flags.writeable = False
-    return result
-
-
-def _point_table(params: SystemParams) -> _Table:
-    """The N = 1 table of one point; raises where nbar is undefined."""
-    t, undefined = _cached_table(params)
-    if undefined[0]:
-        raise ParameterError(_NBAR_UNDEFINED)
-    return t
-
-
 def _rates(down: np.ndarray, up: np.ndarray) -> np.ndarray:
     """(8, 8, N) off-diagonal generator rates W[i, j, n]: transfer j -> i at down, i -> j at up.
 
@@ -246,10 +235,12 @@ def rate_matrix(params: SystemParams) -> np.ndarray:
     and upward transfer i -> j at W[j, i] = gamma nbar a^2.  Diagonal entries
     close each column to zero sum.  At lambda = (1,1,1) every amplitude
     touching state 3 (0-based) is exactly zero, so its row and column vanish
-    identically and the dark state decouples.
+    identically and the dark state decouples.  The rates are the one-point
+    table's that steady_state and heat_currents read (`_point_table`).
     """
-    t = _point_table(params)
-    W = np.ldexp(_rates(t.down, t.up).reshape(8, 8), t.scale)
+    t = _defined_point_table(params)
+    down, up = (np.array(rows)[:, None] for rows in (t.down, t.up))
+    W = np.ldexp(_rates(down, up).reshape(8, 8), t.scale)
     W.flat[::9] -= W.sum(axis=0)  # the diagonal
     return W
 
@@ -391,19 +382,14 @@ def _steady(t: _Table, undefined: np.ndarray, dark: np.ndarray, pinned: np.ndarr
         W[0, DARK_STATE] += dark
     q, stuck = _gth(W)
     if np.count_nonzero(invalid | undefined) or stuck is not None:
-        failures.record(dark & ~pinned, UnderdeterminedError,
-                        "fully common coupling leaves the dark-state population free; "
-                        "supply rho44_init")
-        failures.record(pinned & ~dark, OverdeterminedError,
-                        "steady state is unique; rho44_init must not be supplied")
+        failures.record(dark & ~pinned, UnderdeterminedError, _PIN_MISSING)
+        failures.record(pinned & ~dark, OverdeterminedError, _PIN_SUPERFLUOUS)
         if pins:
-            failures.record(pinned & out_of_range, ParameterError,
-                            "rho44_init must lie in [0, 1]")
+            failures.record(pinned & out_of_range, ParameterError, _PIN_OUT_OF_RANGE)
         failures.record(undefined, ParameterError, _NBAR_UNDEFINED)
         if stuck is not None:
             for k in np.unique(stuck[stuck >= 0]):
-                failures.record(stuck == k, SteadyStateError,
-                                f"state {k} has no outflow to the states below it")
+                failures.record(stuck == k, SteadyStateError, _NO_OUTFLOW.format(k))
         q = np.where(failures.ok, q, np.nan)
     p = q
     if pins:
@@ -548,6 +534,172 @@ def _solve_point(
     return sol
 
 
+# One point on Python floats.  A query on one SystemParams (steady_state,
+# heat_currents, rate_matrix) spends less on the arithmetic of its 64
+# entries than numpy charges to dispatch it, so its table, GTH and heat run
+# once more on floats: the array kernel's operations in the array kernel's
+# order, which give its bytes.  nbar alone comes from numpy, by one `_nbar`
+# call on the 24 rows, as in `_table`: numpy's exp and expm1 differ from
+# libm's in the last bit.  Every sum adds with + from the first term to the
+# last or in `_tree`'s order, never by sum() or math.fsum: from Python 3.12
+# sum() of floats is compensated and would round differently.
+
+# per table row: the states (i, j), and its reservoir, sign, factors x and y
+# (indices into channels.FACTORS) and divisor, as transition_amplitudes reads them
+_PAIRS = tuple(zip(ROW_I.tolist(), ROW_J.tolist()))
+_AMPLITUDES = tuple((RESERVOIRS.index(nu), float(sign), FACTORS.index(x), FACTORS.index(y),
+                     math.sqrt(2.0) if over_rt2 else 1.0)
+                    for _, _, nu, sign, x, y, over_rt2 in TRANSITIONS)
+# `_TOUCH` and `_TOUCH_SIGN` as (row, sign) pairs per state
+_POINT_TOUCH = tuple(tuple(zip(rows, signs)) for rows, signs
+                     in zip(_TOUCH.tolist(), _TOUCH_SIGN[:, :, 0].tolist()))
+
+
+class _PointTable(NamedTuple):
+    """`_table`'s results for one point as Python floats: 24-tuples, row r as TRANSITIONS[r].
+
+    T and nbar, which only the amplification factors read, are left out.
+    """
+
+    omega: tuple[float, ...]
+    down: tuple[float, ...]
+    up: tuple[float, ...]
+    unit: float
+    scale: int
+    undefined: bool
+
+
+@functools.lru_cache(maxsize=1)
+def _point_table(params: SystemParams) -> _PointTable:
+    """`_table` of one point on floats, kept for the next call with equal params.
+
+    Only single points are asked for twice in a row (steady_state, then
+    heat_currents), so one entry serves; a table depends on nothing but the
+    values of params, so a hit returns exactly what a rebuild would.  The
+    closed forms are model.closed_forms', doublets (R, L, M), and the
+    amplitudes channels.transition_amplitudes'.
+    """
+    g = params.g
+    gg = g * g
+    e, cos, sin = [], [], []
+    for w in (params.omega_L + params.omega_M, params.omega_L, params.omega_M):
+        root = math.sqrt(w * w + gg)
+        ew = root + w
+        h = math.sqrt(ew * ew + gg)
+        e.append(root)
+        cos.append(ew / h)
+        sin.append(g / h)
+    eps = (-e[0], -e[1], -e[2], -g, g, e[2], e[1], e[0])
+    lambdas = (params.lambda1, params.lambda2, params.lambda3)
+    F = (*cos, sin[2], sin[1], *[1.0 - v for v in lambdas], *[1.0 + v for v in lambdas])
+    T = (params.T_L, params.T_M, params.T_R)
+    gammas = (params.gamma_L, params.gamma_M, params.gamma_R)
+    unit, scale = math.frexp(max(gammas))
+    gammas = [math.ldexp(v, -scale) for v in gammas]
+    omega, rate, z = [], [], []
+    undefined = False
+    for (i, j), (nu, sign, x, y, divisor) in zip(_PAIRS, _AMPLITUDES):
+        w = eps[j] - eps[i]
+        a = sign * (F[x] * F[y]) / divisor
+        omega.append(w)
+        rate.append(gammas[nu] * a * a)
+        if a != 0.0 and w > 0.0:
+            z.append(w / T[nu])
+        else:
+            z.append(math.inf)
+            undefined = undefined or a != 0.0
+    nbar = _nbar(np.array(z)).tolist()
+    return _PointTable(tuple(omega), tuple(r * (n + 1.0) for r, n in zip(rate, nbar)),
+                       tuple(r * n for r, n in zip(rate, nbar)), unit, scale, undefined)
+
+
+def _defined_point_table(params: SystemParams) -> _PointTable:
+    """The one-point table; raises where nbar is undefined."""
+    t = _point_table(params)
+    if t.undefined:
+        raise ParameterError(_NBAR_UNDEFINED)
+    return t
+
+
+def _point_tree(h: Sequence[float]) -> float:
+    """The sum of 8 floats in `_tree`'s order."""
+    return ((h[0] + h[1]) + (h[2] + h[3])) + ((h[4] + h[5]) + (h[6] + h[7]))
+
+
+def _point_steady(t: _PointTable, dark: bool, rho44_init: float | None) -> list[float]:
+    """`_steady`'s populations of one point on its float table; raises its typed error.
+
+    The checks run in `_steady`'s order.  GTH reduces from state 7 down and
+    stops at the first state without outflow, `_gth`'s stuck state; A[k][k]
+    holds the outflow of state k, and the diagonal entries below it, which
+    the block update also changes, are not read before they are set.
+    """
+    pinned = rho44_init is not None
+    rho44 = 0.0 if rho44_init is None else float(rho44_init)
+    if dark and not pinned:
+        raise UnderdeterminedError(_PIN_MISSING)
+    if pinned and not dark:
+        raise OverdeterminedError(_PIN_SUPERFLUOUS)
+    if pinned and not (rho44 >= 0.0 and rho44 <= 1.0):
+        raise ParameterError(_PIN_OUT_OF_RANGE)
+    if t.undefined:
+        raise ParameterError(_NBAR_UNDEFINED)
+    A = [[0.0] * 8 for _ in range(8)]
+    for (i, j), down, up in zip(_PAIRS, t.down, t.up):
+        A[i][j] = down
+        A[j][i] = up
+    if pinned:
+        A[0][DARK_STATE] += 1.0  # the drain 3 -> 0 of `_steady`
+    for k in range(7, 0, -1):
+        out = A[0][k]
+        for i in range(1, k):
+            out += A[i][k]
+        if out == 0.0:
+            raise SteadyStateError(_NO_OUTFLOW.format(k))
+        row = A[k]
+        row[k] = out
+        for i in range(k):
+            c = A[i][k] / out
+            below = A[i]
+            for j in range(k):
+                below[j] += c * row[j]
+    q = [1.0]
+    for k in range(1, 8):
+        row = A[k]
+        s = row[0] * q[0]
+        for j in range(1, k):
+            s += row[j] * q[j]
+        q.append(s / row[k])
+    total = _point_tree(q)
+    p = [v / total for v in q]
+    if pinned:
+        p = [v * (1.0 - rho44) for v in p]
+        p[DARK_STATE] += rho44
+    return p
+
+
+def _point_heat(params: SystemParams, p: list[float]) -> tuple[list[float], float]:
+    """`_heat` of one point on floats: (Q_L, Q_M, Q_R) of populations p, and max|W p|."""
+    t = _defined_point_table(params)
+    flow = [up * p[i] - down * p[j] for (i, j), down, up in zip(_PAIRS, t.down, t.up)]
+    size = []
+    for (r, sign), *rest in _POINT_TOUCH:
+        s = flow[r] * sign
+        for r, sign in rest:
+            s += flow[r] * sign
+        size.append(abs(s))
+    residual = math.nan if any(v != v for v in size) else max(size)  # as np.max
+    heat = [w * f for w, f in zip(t.omega, flow)]
+    currents = []
+    for start in (0, 8, 16):  # the rows of L, M and R
+        q = _point_tree(heat[start:start + 8])
+        try:
+            currents.append(math.ldexp(q, t.scale))
+        except OverflowError:  # np.ldexp gives inf
+            currents.append(math.copysign(math.inf, q))
+    return currents, residual / t.unit
+
+
 def steady_state(params: SystemParams, rho44_init: float | None = None) -> np.ndarray:
     """Stationary population vector of the rate equation.
 
@@ -557,12 +709,10 @@ def steady_state(params: SystemParams, rho44_init: float | None = None) -> np.nd
     (0-based) decouples and its conserved population must be pinned: with
     the dark state drained into the ground state the reduction leaves it
     empty, the other seven states are scaled to 1 - rho44_init and state 3
-    gets rho44_init.  This is the first stage of `solve` for one point.
+    gets rho44_init.  This is the first stage of `solve` for one point, run
+    on Python floats (`_point_steady`) with the same bytes.
     """
-    steady = _steady(*_cached_table(params), np.array([params.fully_common]),
-                     *_pins([rho44_init]))
-    _raise_first(steady.failures.errors)
-    return steady.populations[:, 0]
+    return np.array(_point_steady(_point_table(params), params.fully_common, rho44_init))
 
 
 def _check_populations(p: np.ndarray) -> np.ndarray:

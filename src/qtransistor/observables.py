@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import _heat, _point_table, _solve_point
+from .dynamics import _point_heat, _solve_point
 from .model import ParameterError, SystemParams
 
 STEADY_RESIDUAL_TOL = 1e-8
@@ -70,8 +70,8 @@ def heat_currents(params: SystemParams, p: np.ndarray) -> HeatCurrentTriple:
     p = np.asarray(p, dtype=float)
     if p.shape != (8,):
         raise ParameterError("population vector must have 8 components")
-    currents, residual = _heat(_point_table(params), p[:, None])
-    return HeatCurrentTriple(*currents[:, 0].tolist(), steady_residual=float(residual[0]))
+    currents, residual = _point_heat(params, p.tolist())
+    return HeatCurrentTriple(*currents, steady_residual=residual)
 
 
 def amplification_factor(

@@ -636,7 +636,7 @@ class TestRateScale:
 
 def fresh(call, *args, **kwargs):
     """call(*args) with no transition table kept from an earlier call."""
-    dynamics._cached_table.cache_clear()
+    dynamics._point_table.cache_clear()
     return call(*args, **kwargs)
 
 
@@ -649,16 +649,20 @@ def query(params, rho44_init=None):
 
 @pytest.fixture
 def table_builds(monkeypatch):
-    """Counts the transition tables built from scratch, from an empty memo."""
+    """Counts the transition tables built from scratch, from an empty memo.
+
+    Each table, a query's float table or a chunk's arrays, takes its
+    occupations from one `_nbar` call.
+    """
     builds = []
-    rows = dynamics.transition_rows
+    nbar = dynamics._nbar
 
-    def counted(*args):
+    def counted(z):
         builds.append(1)
-        return rows(*args)
+        return nbar(z)
 
-    monkeypatch.setattr(dynamics, "transition_rows", counted)
-    dynamics._cached_table.cache_clear()
+    monkeypatch.setattr(dynamics, "_nbar", counted)
+    dynamics._point_table.cache_clear()
     return builds
 
 
@@ -682,25 +686,31 @@ class TestTableMemo:
         assert W.tobytes() == scalar_rate_matrix(nudged).tobytes()
 
     def test_hit_returns_the_stored_table(self, fig2_params, table_builds):
-        first = dynamics._cached_table(fig2_params)
-        again = dynamics._cached_table(fig2_params.replace())  # equal, not the same object
+        first = dynamics._point_table(fig2_params)
+        again = dynamics._point_table(fig2_params.replace())  # equal, not the same object
         assert again is first and len(table_builds) == 1
         p = steady_state(fig2_params)
         heat_currents(fig2_params, p)
         assert len(table_builds) == 1
 
     def test_kept_arrays_are_read_only(self, fig2_params):
-        table, undefined = dynamics._cached_table(fig2_params)
-        for array in (*table, undefined):
-            with pytest.raises(ValueError, match="read-only"):
-                array[...] = 0
+        # the kept table holds tuples of floats and numbers: nothing in it can change
+        table = dynamics._point_table(fig2_params)
+        for rows in (table.omega, table.down, table.up):
+            assert type(rows) is tuple and len(rows) == 24
+            assert all(type(v) is float for v in rows)
+            with pytest.raises(TypeError):
+                rows[0] = 0.0
+        assert (type(table.unit), type(table.scale), type(table.undefined)) == (float, int, bool)
+        with pytest.raises(AttributeError):
+            table.unit = 0.0
 
     def test_batch_leaves_the_kept_table(self, fig2_params, dark_params, table_builds):
-        kept = dynamics._cached_table(fig2_params)
+        kept = dynamics._point_table(fig2_params)
         solve([fig2_params, dark_params], [None, 0.3])
         solve([dark_params], [0.3])
         assert len(table_builds) == 3
-        assert dynamics._cached_table(fig2_params) is kept and len(table_builds) == 3
+        assert dynamics._point_table(fig2_params) is kept and len(table_builds) == 3
 
     def test_signed_zero_g_shares_the_entry_and_its_table(self, fig2_params):
         # g = -0.0 passes SystemParams and equals g = 0.0, so both hit one memo
@@ -710,7 +720,9 @@ class TestTableMemo:
                                                 for x in (plus, minus))
         for a, b in zip((*t_plus, u_plus), (*t_minus, u_minus)):
             assert a.tobytes() == b.tobytes()
-        assert fresh(dynamics._cached_table, minus) is dynamics._cached_table(plus)
+        for a, b in zip(*(fresh(dynamics._point_table, x) for x in (plus, minus))):
+            assert np.array(a).tobytes() == np.array(b).tobytes()
+        assert fresh(dynamics._point_table, minus) is dynamics._point_table(plus)
         for got, expected in zip(fresh(query, minus), fresh(query, plus)):
             assert got.tobytes() == expected.tobytes()
 
@@ -734,13 +746,146 @@ class TestTableMemo:
             p, q = query(fig2_params)
             assert p.tobytes() == expected[0].tobytes() and q.tobytes() == expected[1].tobytes()
 
-    def test_query_equals_the_kernel(self):
-        for params, pin in zip(*mixed_draws(40, seed=77)):
-            p, q = query(params, pin)
-            sol = fresh(solve, [params], [pin])
+    def test_query_equals_the_kernel(self, fig2_params, dark_params):
+        # a query runs on Python floats, `solve` on arrays: the same operations
+        # in the same order give the same bytes, and the same typed errors
+        cases = list(zip(*mixed_draws(seed=77)))
+        batch, pins = straddling_batch(fig2_params, dark_params)
+        errors = solve(batch, pins).errors
+        failing = range(dynamics.CHUNK - 2, dynamics.CHUNK + 3)
+        for n in failing:
+            assert assert_query_is_the_kernel(batch[n], pins[n]) == repr(errors[n])
+        assert sum(error is not None for error in errors) == 4  # the fifth fails alpha only
+        # a pin error comes before an undefined nbar
+        undefined = fig2_params.replace(omega_M=30.0)
+        cases += [(dark_params, math.nan), (fig2_params, math.nan), (undefined, None),
+                  (undefined, 0.3), (undefined.replace(lambda1=1.0, lambda2=1.0, lambda3=1.0), None)]
+        # Q_L and Q_R overflow to +-inf, as np.ldexp gives them
+        cases.append((fig2_params.replace(omega_L=1e4, T_L=1e4, gamma_L=1e308, gamma_M=1e308,
+                                          gamma_R=1e308), None))
+        # cold baths: the rows' omega / T run through 700-745, where nbar is
+        # subnormal, and beyond, where it is 0
+        cold = [fig2_params.replace(T_L=30.0 / z, T_M=1.0 / z, T_R=31.0 / z)
+                for z in np.linspace(700.0, 750.0, 11)]
+        nbar = np.concatenate([t.nbar[t.down != 0.0] for t, _ in
+                               (dynamics._table(input_rows([x]).T) for x in cold)])
+        assert np.count_nonzero(nbar == 0.0) and np.count_nonzero((nbar > 0.0) & (nbar < TINY))
+        cases += [(x, None) for x in cold]
+        lam = 1.0 - 2.0 ** -53
+        for base in (fig2_params, fig2_params.replace(**COLD)):
+            cases.append((base.replace(lambda1=lam, lambda2=lam, lambda3=lam), None))
+            cases += [(near_dark(base, u), None) for u in DARK_CROSSOVER_U]
+        for params, pin in cases:
+            assert_query_is_the_kernel(params, pin)
+
+    def test_query_equals_the_kernel_at_every_rate_scale(self, fig2_params, dark_params):
+        # `TestRateScale`'s points, failing kinds included, with every gamma times 2^k
+        params, pins = mixed_draws(40)
+        failing = [(dark_params, None), (without_outflow(fig2_params), None), (fig2_params, 0.3),
+                   (dark_params, 1.5), (fig2_params.replace(omega_M=30.0), None)]
+        params += [point for point, _ in failing]
+        pins += [pin for _, pin in failing]
+        checked = 0
+        for k in range(-1100, 1101, 50):
+            for x, pin in zip(params, pins):
+                with np.errstate(over="ignore"):
+                    gammas = np.ldexp([x.gamma_L, x.gamma_M, x.gamma_R], k).tolist()
+                if all(0.0 < v < math.inf for v in gammas):
+                    assert_query_is_the_kernel(
+                        x.replace(gamma_L=gammas[0], gamma_M=gammas[1], gamma_R=gammas[2]), pin)
+                    checked += 1
+        assert checked > 40 * 30
+
+    def test_queries_build_no_array_table(self, fig2_params, dark_params, monkeypatch):
+        built = []
+        table = dynamics._table
+        monkeypatch.setattr(dynamics, "_table", lambda x: built.append(x) or table(x))
+        dynamics._point_table.cache_clear()
+        for x, pin in ((fig2_params, None), (dark_params, 0.3)):
+            heat_currents(x, steady_state(x, pin))
+            rate_matrix(x)
+        assert built == []
+        solve([fig2_params])
+        assert len(built) == 1
+
+    def test_query_equals_the_kernel_below_avx512(self):
+        # numpy picks its exp and expm1 kernels by CPU level, and their last
+        # bits differ between levels; both paths take nbar from `_nbar`, so
+        # they agree at each level, here at a host's without AVX-512 (where
+        # numpy's float64 exp is libm's)
+        features, dispatch = numpy_cpu()
+        off = ("X86_V4", "AVX512_ICL", "AVX512_SPR")
+        if not (features.get("X86_V4") and set(off) <= set(dispatch)):
+            pytest.skip("the host or its numpy has no X86_V4 level to switch off")
+        src = os.path.dirname(os.path.dirname(qtransistor.__file__))
+        env = {**os.environ, "PYTHONPATH": src, "NPY_DISABLE_CPU_FEATURES": " ".join(off)}
+        node = f"{__file__}::TestTableMemo::test_query_equals_the_kernel"
+        code = f"""if True:
+            import sys, pytest
+            status = pytest.main(["-q", "-p", "no:cacheprovider", {node!r}])
+            assert not sys.modules["test_dynamics"].numpy_cpu()[0]["X86_V4"]
+            sys.exit(status)
+        """
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=env, cwd=os.path.dirname(__file__))
+        assert run.returncode == 0, run.stdout[-2000:] + run.stderr[-2000:]
+
+
+TINY = np.finfo(float).tiny
+# a population vector that is no steady state, and one that holds NaN
+NOT_STEADY = [0.3, 0.2, 0.1, 0.05, 0.15, 0.1, 0.05, 0.05]
+# (state 0, whose residual comes first, has no row to state 7)
+WITH_NAN = [0.3, 0.2, 0.1, 0.05, 0.15, 0.1, 0.05, math.nan]
+
+
+def numpy_cpu():
+    """numpy's CPU features (True where its dispatch may use one) and its dispatch targets."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy < 2
+        from numpy.core import _multiarray_umath as umath
+    return umath.__cpu_features__, umath.__cpu_dispatch__
+
+
+def array_rate_matrix(t):
+    """rate_matrix of one point as the array kernel builds it, from its `_table` t."""
+    W = np.ldexp(dynamics._rates(t.down, t.up).reshape(8, 8), t.scale)
+    W.flat[::9] -= W.sum(axis=0)
+    return W
+
+
+def assert_query_is_the_kernel(params, pin):
+    """The float query of one point gives `solve`'s bytes or raises its error.
+
+    steady_state then heat_currents, rate_matrix, and heat_currents of
+    NOT_STEADY and WITH_NAN, against `solve` and the arrays of `_table`;
+    returns the repr of `solve`'s error (None where it has none).  Q and W
+    overflow at the largest rate scales.
+    """
+    with np.errstate(over="ignore"):
+        sol = fresh(solve, [params], [pin])
+        t, undefined = dynamics._table(input_rows([params]).T)
+        error = sol.errors[0]
+        if error is None:
+            p, q = fresh(query, params, pin)
             assert p.tobytes() == sol.populations[0].tobytes()
-            assert q[:3].tobytes() == sol.currents[0].tobytes()
-            assert q[3] == sol.residual[0]
+            assert q.tobytes() == np.append(sol.currents[0], sol.residual).tobytes()
+        else:
+            with pytest.raises(type(error)) as raised:
+                fresh(steady_state, params, pin)
+            assert repr(raised.value) == repr(error)
+        if undefined[0]:
+            for call in (rate_matrix, lambda x: heat_currents(x, NOT_STEADY)):
+                with pytest.raises(ParameterError, match="omega > 0"):
+                    fresh(call, params)
+            return repr(error)
+        assert fresh(rate_matrix, params).tobytes() == array_rate_matrix(t).tobytes()
+        for p in (NOT_STEADY, WITH_NAN):
+            Q, residual = dynamics._heat(t, np.array(p)[:, None])
+            got = fresh(heat_currents, params, p)
+            assert (np.array([got.Q_L, got.Q_M, got.Q_R, got.steady_residual]).tobytes()
+                    == np.append(Q, residual).tobytes())
+    return repr(error)
 
 
 def mp_relaxation_rates(W, digits=50):
