@@ -20,12 +20,12 @@ channels, and a failed point goes through the same pass: its result rows
 are NaN.  Every sum that feeds p, Q, alpha or the residual has an order
 the code states, none BLAS's: 8 terms add by `_tree`, fewer from the first
 to the last, as np.add.reduce adds them at every N (8 terms it would add
-pairwise at N = 1 only).
-amplification_factor (in observables) is its N = 1 call.  A query on one
+pairwise at N = 1 only).  It runs sweeps and amplification factors
+(amplification_factor in observables on one point).  A query on one
 SystemParams, rate_matrix, steady_state and (in observables)
 heat_currents, runs the table, GTH and the heat once more on Python
 floats, the array kernel's operations in its order, so both give the same
-bytes: at N = 1 that arithmetic costs less than numpy's dispatch of it.
+bytes: on one point that arithmetic costs less than numpy's dispatch of it.
 The table reads its rows from channels.transition_rows, as
 channels_analytic does, and its Bose occupations from _nbar, which
 bose_occupation calls on one value, so one point's table equals their
@@ -245,8 +245,8 @@ def rate_matrix(params: SystemParams) -> np.ndarray:
     return W
 
 
-# index tuples built once: slicing inline cost ~5 us per N = 1 steady state and
-# ~13 us per alpha solve on a 2-vCPU host.  Step k = 1 .. 7 of GTH and of the
+# index tuples built once: slicing inline cost ~13 us per alpha solve of one
+# point on a 2-vCPU host.  Step k = 1 .. 7 of GTH and of the
 # substitutions: k, A[k, :k], A[:k, k], A[k, k] and A[:k, :k] (None at k = 1:
 # below state 1 only the unread A[0, 0] is left) of (8, 8, N) factors
 _STEPS = [(k, np.s_[k, :k], np.s_[:k, k], np.s_[k, k], np.s_[:k, :k] if k > 1 else None)
@@ -368,33 +368,26 @@ def _steady(t: _Table, undefined: np.ndarray, dark: np.ndarray, pinned: np.ndarr
     finds any missing, superfluous or out-of-range pin and any undefined
     nbar; only then, or where a state has no outflow, are the errors
     recorded, in that order, and a failed point's column set to NaN.  The
-    pins are restored on whole arrays, a NaN column staying NaN; where no
-    point is pinned, `_gth`'s results are the populations: the pins would
-    scale them by 1 - 0 and add 0, which changes no bit.
+    pins are restored on whole arrays, a NaN column staying NaN; an
+    unpinned point's populations are `_gth`'s, scaled by 1 - 0 with 0 added
+    at state 3, which changes no bit.
     """
     failures = _Failures(len(dark))
     W = _rates(t.down, t.up)
-    pins = np.count_nonzero(pinned)
-    invalid = dark != pinned  # a pin missing or superfluous
-    if pins:  # rho44 is 0 where no pin is set
-        out_of_range = ~((rho44 >= 0.0) & (rho44 <= 1.0))
-        invalid |= out_of_range
-        W[0, DARK_STATE] += dark
+    W[0, DARK_STATE] += dark
     q, stuck = _gth(W)
-    if np.count_nonzero(invalid | undefined) or stuck is not None:
+    out_of_range = ~((rho44 >= 0.0) & (rho44 <= 1.0))  # rho44 is 0 where no pin is set
+    if np.count_nonzero((dark != pinned) | out_of_range | undefined) or stuck is not None:
         failures.record(dark & ~pinned, UnderdeterminedError, _PIN_MISSING)
         failures.record(pinned & ~dark, OverdeterminedError, _PIN_SUPERFLUOUS)
-        if pins:
-            failures.record(pinned & out_of_range, ParameterError, _PIN_OUT_OF_RANGE)
+        failures.record(out_of_range, ParameterError, _PIN_OUT_OF_RANGE)
         failures.record(undefined, ParameterError, _NBAR_UNDEFINED)
         if stuck is not None:
             for k in np.unique(stuck[stuck >= 0]):
                 failures.record(stuck == k, SteadyStateError, _NO_OUTFLOW.format(k))
         q = np.where(failures.ok, q, np.nan)
-    p = q
-    if pins:
-        p = q * (1.0 - rho44)
-        p[DARK_STATE] += rho44
+    p = q * (1.0 - rho44)
+    p[DARK_STATE] += rho44
     return _Steady(p, failures, W, q)
 
 
@@ -521,17 +514,6 @@ def _solve_chunk(x: np.ndarray, pinned: np.ndarray, rho44: np.ndarray, control: 
         ok = failures.ok
         alpha[ok] = (dQ[::2, ok] / dQ[1, ok]).T
     return failures.errors
-
-
-def _solve_point(
-    params: SystemParams,
-    rho44_init: float | None = None,
-    control: str | None = None,
-) -> Solution:
-    """`solve` for one point; its domain error, if any, is raised."""
-    sol = solve([params], [rho44_init], control)
-    _raise_first(sol.errors)
-    return sol
 
 
 # One point on Python floats.  A query on one SystemParams (steady_state,

@@ -8,9 +8,9 @@ sweep stays in columns from grid to CSV: `_grid` repeats the base point's
 kernel input row and writes the swept columns (the grid of every
 SweepSpec and of optimize_lambda's scans), one vectorised check
 (model.check_rows) validates all rows, and the batched kernel
-dynamics._solve takes them as they are, all of a command's operating
-points in one call (run_modulation in two, as its second state depends on
-the first).  No object is built per grid point: run_sweep
+dynamics._solve takes them as they are, all of a sweep's operating
+points in one call (run_modulation's two states, the second depending on
+the first, are float queries).  No object is built per grid point: run_sweep
 returns the sweep as columns (SweepResult: grid values, input rows, pins,
 the kernel's Solution and the secular-pass column of
 model.secular_checks), and sweep_rows formats the CSV straight from
@@ -46,8 +46,8 @@ from .dynamics import (
     _dark,
     _raise_first,
     _solve,
-    _solve_point,
     apply_drive,
+    steady_state,
 )
 from .model import (
     FIELD_NAMES,
@@ -58,7 +58,7 @@ from .model import (
     input_rows,
     secular_checks,
 )
-from .observables import HeatCurrentTriple
+from .observables import HeatCurrentTriple, heat_currents
 
 SWEEP_AXES = (
     "T_L", "T_M", "T_R",
@@ -318,11 +318,6 @@ class SweepResult(NamedTuple):
     outputs: tuple[str, ...]
 
 
-def _currents_of(sol: Solution, n: int) -> HeatCurrentTriple:
-    return HeatCurrentTriple(*map(float, sol.currents[n]),
-                             steady_residual=float(sol.residual[n]))
-
-
 def run_sweep(spec: SweepSpec) -> SweepResult:
     """Evaluate every grid point in one batched solve; output follows the grid.
 
@@ -391,9 +386,8 @@ def run_modulation(
     """
     if not params.fully_common:
         raise DarkStateError("modulation requires lambda1 = lambda2 = lambda3 = 1")
-    before = _solve_point(params, rho44_initial)
-    p_before = before.populations[0]
-    q_before = _currents_of(before, 0)
+    p_before = steady_state(params, rho44_initial)
+    q_before = heat_currents(params, p_before)
 
     period = math.pi / drive.Omega
     times = np.linspace(0.0, period, 201)
@@ -403,7 +397,7 @@ def run_modulation(
 
     p_pulsed = apply_drive(p_before, drive)
     rho44_after = float(p_pulsed[a])
-    q_after = _currents_of(_solve_point(params, rho44_after), 0)
+    q_after = heat_currents(params, steady_state(params, rho44_after))
 
     before = q_before.as_array()
     after = q_after.as_array()

@@ -8,11 +8,12 @@ frequencies).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import _point_heat, _solve_point
+from .dynamics import _point_heat, _raise_first, solve
 from .model import ParameterError, SystemParams
 
 STEADY_RESIDUAL_TOL = 1e-8
@@ -65,12 +66,16 @@ def heat_currents(params: SystemParams, p: np.ndarray) -> HeatCurrentTriple:
     Per channel pair (i, j) at Bohr frequency w the reservoir delivers
     w * (upward flux - downward flux); summing a reservoir's eight pairs
     gives its current.  p holds the 8 populations, as an array or a
-    sequence; the table steady_state built for the same params is reused.
+    sequence of finite numbers; the table steady_state built for the same
+    params is reused.
     """
     p = np.asarray(p, dtype=float)
     if p.shape != (8,):
         raise ParameterError("population vector must have 8 components")
-    currents, residual = _point_heat(params, p.tolist())
+    p = p.tolist()
+    if not all(map(math.isfinite, p)):
+        raise ParameterError("population vector must hold finite numbers")
+    currents, residual = _point_heat(params, p)
     return HeatCurrentTriple(*currents, steady_residual=residual)
 
 
@@ -83,8 +88,11 @@ def amplification_factor(
 
     alpha_{L,R} = (dQ_{L,R}/dT) / (dQ_M/dT) with T = T_control, the
     steady-state derivative taken on the factors of the GTH reduction that
-    gave the steady state (see dynamics.solve).  rho44_init pins the
-    dark-state population when fully common coupling makes it free.
+    gave the steady state: the array kernel's `solve` on this one point.
+    rho44_init pins the dark-state population when fully common coupling
+    makes it free; the point's domain error, if any, is raised.
     """
-    alpha_L, alpha_R = _solve_point(params, rho44_init, control).alpha[0]
+    sol = solve([params], [rho44_init], control)
+    _raise_first(sol.errors)
+    alpha_L, alpha_R = sol.alpha[0]
     return AmplificationResult(float(alpha_L), float(alpha_R), control)

@@ -32,6 +32,7 @@ import qtransistor
 from qtransistor import dynamics, heat_currents
 from qtransistor.channels import ROW_I, ROW_J, ROW_RESERVOIR, channels_analytic
 from qtransistor.dynamics import solve
+from qtransistor.experiments import run_modulation
 from qtransistor.model import input_rows
 from qtransistor.oracles import (
     _propagate,
@@ -421,6 +422,26 @@ class TestBatchedKernel:
             assert got.tobytes() == expected.tobytes()
         assert list(map(repr, f_rows.errors)) == list(map(repr, c_rows.errors))
 
+    def test_unpinned_points_keep_the_stationary_vectors(self, fig2_params, dark_params):
+        # `_steady` restores the pins at every point, as p (1 - rho44) and
+        # + rho44 at state 3; a lit point's rho44 is 0, so its populations
+        # are `_gth`'s stationary vector bit for bit
+        params, pins = straddling_batch(fig2_params, dark_params)
+        x = input_rows(params).T
+        pinned, rho44 = dynamics._pins(pins)
+        checked = 0
+        for start in range(0, len(params), dynamics.CHUNK):
+            chunk = slice(start, start + dynamics.CHUNK)
+            columns = np.ascontiguousarray(x[:, chunk])
+            dark = dynamics._dark(columns)
+            steady = dynamics._steady(*dynamics._table(columns), dark, pinned[chunk],
+                                      rho44[chunk])
+            lit = ~dark & steady.failures.ok
+            assert steady.populations[:, lit].tobytes() == steady.stationary[:, lit].tobytes()
+            checked += np.count_nonzero(lit)
+        # all lit points but the one without outflow and the superfluous pin
+        assert checked == sum(not point.fully_common for point in params) - 2
+
     def test_peak_memory_does_not_grow_with_the_batch(self):
         # beyond its results a solve holds one chunk's arrays, whatever N is
         params, pins = mixed_draws(4 * dynamics.CHUNK)
@@ -808,6 +829,15 @@ class TestTableMemo:
         solve([fig2_params])
         assert len(built) == 1
 
+    def test_modulation_asks_float_queries(self, modulation_params, table_builds, monkeypatch):
+        # both steady states of the protocol and their currents are float
+        # queries on one params: one float table, no array table
+        built = []
+        table = dynamics._table
+        monkeypatch.setattr(dynamics, "_table", lambda x: built.append(x) or table(x))
+        run_modulation(modulation_params, DriveSpec(Omega=0.3, delta_t=1.0), 0.99)
+        assert built == [] and len(table_builds) == 1
+
     def test_query_equals_the_kernel_below_avx512(self):
         # numpy picks its exp and expm1 kernels by CPU level, and their last
         # bits differ between levels; both paths take nbar from `_nbar`, so
@@ -857,8 +887,9 @@ def array_rate_matrix(t):
 def assert_query_is_the_kernel(params, pin):
     """The float query of one point gives `solve`'s bytes or raises its error.
 
-    steady_state then heat_currents, rate_matrix, and heat_currents of
-    NOT_STEADY and WITH_NAN, against `solve` and the arrays of `_table`;
+    steady_state then heat_currents, rate_matrix, heat_currents of
+    NOT_STEADY and the float heat `_point_heat` of WITH_NAN (which
+    heat_currents rejects), against `solve` and the arrays of `_table`;
     returns the repr of `solve`'s error (None where it has none).  Q and W
     overflow at the largest rate scales.
     """
@@ -880,11 +911,16 @@ def assert_query_is_the_kernel(params, pin):
                     fresh(call, params)
             return repr(error)
         assert fresh(rate_matrix, params).tobytes() == array_rate_matrix(t).tobytes()
-        for p in (NOT_STEADY, WITH_NAN):
-            Q, residual = dynamics._heat(t, np.array(p)[:, None])
-            got = fresh(heat_currents, params, p)
-            assert (np.array([got.Q_L, got.Q_M, got.Q_R, got.steady_residual]).tobytes()
-                    == np.append(Q, residual).tobytes())
+        Q, residual = dynamics._heat(t, np.array(NOT_STEADY)[:, None])
+        got = fresh(heat_currents, params, NOT_STEADY)
+        assert (np.array([got.Q_L, got.Q_M, got.Q_R, got.steady_residual]).tobytes()
+                == np.append(Q, residual).tobytes())
+        # heat_currents rejects NaN; the float heat propagates it as `_heat` does
+        Q, residual = dynamics._heat(t, np.array(WITH_NAN)[:, None])
+        got, got_residual = fresh(dynamics._point_heat, params, WITH_NAN)
+        assert np.array([*got, got_residual]).tobytes() == np.append(Q, residual).tobytes()
+        with pytest.raises(ParameterError, match="must hold finite numbers"):
+            heat_currents(params, WITH_NAN)
     return repr(error)
 
 

@@ -116,6 +116,13 @@ class TestHeatCurrents:
         with pytest.raises(ParameterError, match="must have 8 components"):
             heat_currents(fig2_params, p)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_population_vector_that_is_not_finite(self, fig2_params, bad):
+        p = steady_state(fig2_params).tolist()
+        p[7] = bad
+        with pytest.raises(ParameterError, match="must hold finite numbers"):
+            heat_currents(fig2_params, p)
+
     def test_accepts_a_list_of_populations(self, fig2_params):
         p = steady_state(fig2_params)
         assert heat_currents(fig2_params, p.tolist()) == heat_currents(fig2_params, p)
