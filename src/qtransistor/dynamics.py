@@ -17,15 +17,18 @@ dark-pinned ones included, and its factors also give the steady-state
 derivatives behind the amplification factors; currents and the residual
 max|W p| come from the table's rows.  Nothing in it loops over points or
 channels, and a failed point goes through the same pass: its result rows
-are NaN.  Every sum that feeds p, Q, alpha or the residual has an order
-the code states, none BLAS's: 8 terms add by `_tree`, fewer from the first
+are NaN (a point whose currents overflow keeps its populations).  Every
+sum that feeds p, Q, alpha or the residual has an order the code states,
+none BLAS's: 8 terms add by `_tree`, fewer from the first
 to the last, as np.add.reduce adds them at every N (8 terms it would add
 pairwise at N = 1 only).  It runs sweeps and amplification factors
 (amplification_factor in observables on one point).  A query on one
 SystemParams, rate_matrix, steady_state and (in observables)
 heat_currents, runs the table, GTH and the heat once more on Python
-floats, the array kernel's operations in its order, so both give the same
-bytes: on one point that arithmetic costs less than numpy's dispatch of it.
+floats, as straight-line code that `_point_source` writes from the rows
+and the first query compiles: the array kernel's operations in its order,
+so both give the same bytes, and on one point that arithmetic costs less
+than numpy's dispatch of it.
 The table reads its rows from channels.transition_rows, as
 channels_analytic does, and its Bose occupations from _nbar, which
 bose_occupation calls on one value, so one point's table equals their
@@ -35,6 +38,7 @@ numbers bit for bit.
 from __future__ import annotations
 
 import functools
+import linecache
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -86,6 +90,8 @@ _PIN_SUPERFLUOUS = "steady state is unique; rho44_init must not be supplied"
 _PIN_OUT_OF_RANGE = "rho44_init must lie in [0, 1]"
 _NBAR_UNDEFINED = "bose_occupation requires omega > 0"
 _NO_OUTFLOW = "state {} has no outflow to the states below it"
+# raised by rate_matrix and heat_currents, recorded by `solve` after the others
+_OVERFLOW = "rates or heat currents overflow the float range at this operating point"
 
 
 def bose_occupation(omega: float, T: float) -> float:
@@ -237,11 +243,15 @@ def rate_matrix(params: SystemParams) -> np.ndarray:
     touching state 3 (0-based) is exactly zero, so its row and column vanish
     identically and the dark state decouples.  The rates are the one-point
     table's that steady_state and heat_currents read (`_point_table`).
+    A W with an entry beyond the float range raises ParameterError.
     """
     t = _defined_point_table(params)
     down, up = (np.array(rows)[:, None] for rows in (t.down, t.up))
-    W = np.ldexp(_rates(down, up).reshape(8, 8), t.scale)
-    W.flat[::9] -= W.sum(axis=0)  # the diagonal
+    with np.errstate(over="ignore"):
+        W = np.ldexp(_rates(down, up).reshape(8, 8), t.scale)
+        W.flat[::9] -= W.sum(axis=0)  # the diagonal
+    if not np.isfinite(W).all():
+        raise ParameterError(_OVERFLOW)
     return W
 
 
@@ -401,7 +411,8 @@ class Solution(NamedTuple):
     (about 1e-16 at a steady state, of order 1 far from it).  alpha: (N, 2)
     amplification factors (alpha_L, alpha_R), NaN where not requested or
     failed.  errors: per point None, or the typed domain error that stopped
-    it (only alpha, where the populations are finite).
+    it; where the populations are finite, it stopped only alpha, or the
+    currents, which are kept where they leave the float range.
     """
 
     populations: np.ndarray
@@ -435,6 +446,7 @@ def solve(
     run: UnderdeterminedError or OverdeterminedError for a missing or
     superfluous pin, ParameterError for a pin outside [0, 1] or an
     undefined nbar, SteadyStateError for a state without outflow,
+    ParameterError for a current beyond the float range,
     DegenerateControlError where dQ_M/dT == 0.  The other points are solved
     as if it were absent.  Only an unknown control terminal raises.
     """
@@ -502,8 +514,10 @@ def _solve_chunk(x: np.ndarray, pinned: np.ndarray, rho44: np.ndarray, control: 
     t, undefined = _table(columns)
     steady = _steady(t, undefined, _dark(columns), pinned, rho44)
     p, failures = steady.populations, steady.failures
-    q, residual[...] = _heat(t, p)
+    with np.errstate(over="ignore"):
+        q, residual[...] = _heat(t, p)
     populations[...], currents[...] = p.T, q.T
+    failures.record(~np.isfinite(q).all(axis=0), ParameterError, _OVERFLOW)
     if control is not None:
         terms = _tree(_response(t, steady, control))
         dQ, size = terms[:3], terms[3:]
@@ -518,23 +532,24 @@ def _solve_chunk(x: np.ndarray, pinned: np.ndarray, rho44: np.ndarray, control: 
 
 # One point on Python floats.  A query on one SystemParams (steady_state,
 # heat_currents, rate_matrix) spends less on the arithmetic of its 64
-# entries than numpy charges to dispatch it, so its table, GTH and heat run
-# once more on floats: the array kernel's operations in the array kernel's
-# order, which give its bytes.  nbar alone comes from numpy, by one `_nbar`
-# call on the 24 rows, as in `_table`: numpy's exp and expm1 differ from
-# libm's in the last bit.  Every sum adds with + from the first term to the
-# last or in `_tree`'s order, never by sum() or math.fsum: from Python 3.12
-# sum() of floats is compensated and would round differently.
+# entries than numpy charges to dispatch it, and less again without a loop
+# that indexes a list: `_point_source` writes the table, GTH and the heat of
+# one point as straight-line code, every row and matrix entry a local, from
+# the rows (channels.TRANSITIONS, `_PAIRS`, `_TOUCH`) and in the array
+# kernel's order, which gives its bytes.  It is compiled at the first query,
+# not at import, and its source is kept by linecache for tracebacks and
+# inspect.getsource.  nbar alone comes from numpy, by one `_nbar` call on
+# the 24 rows, as in `_table`: numpy's exp and expm1 differ from libm's in
+# the last bit.  Every sum adds with + from the first term to the last or in
+# `_tree`'s order, never by sum() or math.fsum: from Python 3.12 sum() of
+# floats is compensated and would round differently.  Past the table, GTH
+# and the heat use + - * / abs max and comparisons only, so they run on any
+# number type that has them.
 
-# per table row: the states (i, j), and its reservoir, sign, factors x and y
-# (indices into channels.FACTORS) and divisor, as transition_amplitudes reads them
+# per table row: the states (i, j)
 _PAIRS = tuple(zip(ROW_I.tolist(), ROW_J.tolist()))
-_AMPLITUDES = tuple((RESERVOIRS.index(nu), float(sign), FACTORS.index(x), FACTORS.index(y),
-                     math.sqrt(2.0) if over_rt2 else 1.0)
-                    for _, _, nu, sign, x, y, over_rt2 in TRANSITIONS)
-# `_TOUCH` and `_TOUCH_SIGN` as (row, sign) pairs per state
-_POINT_TOUCH = tuple(tuple(zip(rows, signs)) for rows, signs
-                     in zip(_TOUCH.tolist(), _TOUCH_SIGN[:, :, 0].tolist()))
+# the file name of the generated source
+_POINT_FILE = "<qtransistor.dynamics point kernel>"
 
 
 class _PointTable(NamedTuple):
@@ -551,48 +566,112 @@ class _PointTable(NamedTuple):
     undefined: bool
 
 
+def _tree_source(terms: list[str]) -> str:
+    """`_tree`'s sum of 8 terms as an expression."""
+    while len(terms) > 1:
+        terms = [f"({a} + {b})" for a, b in zip(terms[0::2], terms[1::2])]
+    return terms[0]
+
+
+def _point_source() -> str:
+    """The one-point kernel's source: point_table, point_steady and point_heat.
+
+    point_table(params) is `_table` on one point: the closed forms of
+    model.closed_forms, doublets (R, L, M), and per row omega, the
+    amplitude a of channels.transition_amplitudes (its sign drops out of
+    a * a), the rate and z = omega / T.  point_steady(down, up, drain,
+    rho44) is `_steady`'s: drain (1.0 where pinned) is its dark-state
+    drain, GTH censors from state 7 down, each outflow added from state 0
+    up, and returns the first state without outflow, or the populations by
+    back substitution from j = 0 up, `_tree`'s normalisation and the pin.
+    The diagonal below k, which `_gth` also updates, is not read before it
+    is set, so it is not updated.  point_heat(omega, down, up, p) is
+    `_heat`'s flows, the currents (Q_L, Q_M, Q_R) by `_tree` and max|W p|,
+    each state's signed row flows added in `_TOUCH` order, all in units of
+    2^scale.
+    """
+    def names(form: str, n: int = len(_PAIRS)) -> str:
+        return ", ".join(form.format(k) for k in range(n))
+
+    code = ["def point_table(params):", "    inf = math.inf", "    g = params.g", "    gg = g * g"]
+    for d, (name, w) in enumerate(zip("RLM", ("params.omega_L + params.omega_M",
+                                              "params.omega_L", "params.omega_M"))):
+        code += [f"    w = {w}", f"    e{d} = math.sqrt(w * w + gg)", f"    ew = e{d} + w",
+                 "    h = math.sqrt(ew * ew + gg)", f"    F{FACTORS.index('c' + name)} = ew / h"]
+        code += [f"    F{FACTORS.index('s' + name)} = g / h"] if "s" + name in FACTORS else []
+    for n in (1, 2, 3):
+        code += [f"    F{FACTORS.index(f'1{s}l{n}')} = 1.0 {s} params.lambda{n}" for s in "-+"]
+    code += [f"    eps{k} = {v}" for k, v in enumerate(("-e0", "-e1", "-e2", "-g", "g", "e2",
+                                                       "e1", "e0"))]
+    code.append("    unit, scale = math.frexp(max(params.gamma_L, params.gamma_M, params.gamma_R))")
+    for nu, name in enumerate(RESERVOIRS):
+        code += [f"    G{nu} = math.ldexp(params.gamma_{name}, -scale)",
+                 f"    T{nu} = params.T_{name}"]
+    for r, (i, j, name, _, x, y, over_rt2) in enumerate(TRANSITIONS):
+        nu, divide = RESERVOIRS.index(name), f" / {math.sqrt(2.0)!r}" if over_rt2 else ""
+        code += [f"    w{r} = eps{j} - eps{i}",
+                 f"    a{r} = F{FACTORS.index(x)} * F{FACTORS.index(y)}{divide}",
+                 f"    r{r} = G{nu} * a{r} * a{r}",
+                 f"    z{r} = w{r} / T{nu} if a{r} != 0.0 and w{r} > 0.0 else inf"]
+    code += [f"    {names('n{}')} = _nbar(np.array(({names('z{}')}))).tolist()",
+             f"    return _PointTable(({names('w{}')}),",
+             f"                       ({names('r{0} * (n{0} + 1.0)')}),",
+             f"                       ({names('r{0} * n{0}')}), unit, scale,",
+             "                       " + " or ".join(f"(a{r} != 0.0 and not w{r} > 0.0)"
+                                                    for r in range(len(_PAIRS))) + ")"]
+    # GTH on the entries a_i_j, the rates j -> i
+    pairs = set(_PAIRS)
+    code += ["", "def point_steady(down, up, drain, rho44):",
+             "    " + ", ".join(f"a_{i}_{j}" for i, j in _PAIRS) + " = down",
+             "    " + ", ".join(f"a_{j}_{i}" for i, j in _PAIRS) + " = up",
+             "    " + " = ".join(f"a_{i}_{j}" for i in range(8) for j in range(8)
+                                 if i != j and (min(i, j), max(i, j)) not in pairs) + " = 0.0",
+             f"    a_0_{DARK_STATE} += drain"]
+    for k in range(7, 0, -1):
+        code += [f"    o{k} = " + " + ".join(f"a_{i}_{k}" for i in range(k)),
+                 f"    if o{k} == 0.0:", f"        return {k}"]
+        for i in range(k if k > 1 else 0):  # below state 1 only the unread a_0_0 is left
+            code += [f"    c = a_{i}_{k} / o{k}"]
+            code += [f"    a_{i}_{j} += c * a_{k}_{j}" for j in range(k) if j != i]
+    code.append("    q0 = 1.0")
+    code += [f"    q{k} = (" + " + ".join(f"a_{k}_{j} * q{j}" for j in range(k)) + f") / o{k}"
+             for k in range(1, 8)]
+    code += [f"    total = {_tree_source([f'q{k}' for k in range(8)])}", "    keep = 1.0 - rho44",
+             "    return [" + ", ".join(f"q{k} / total * keep" + " + rho44" * (k == DARK_STATE)
+                                   for k in range(8)) + "]"]
+    code += ["", "def point_heat(omega, down, up, p):", f"    {names('w{}')} = omega",
+             f"    {names('d{}')} = down", f"    {names('u{}')} = up", f"    {names('p{}', 8)} = p"]
+    code += [f"    f{r} = u{r} * p{i} - d{r} * p{j}" for r, (i, j) in enumerate(_PAIRS)]
+    for k, touch in enumerate(_TOUCH.tolist()):
+        flows = " ".join(f"{'+' if ROW_J[r] == k else '-'} f{r}" for r in touch)
+        code.append(f"    s{k} = abs({flows.removeprefix('+ ')})")
+    code += [f"    residual = max({names('s{}', 8)}) if "
+             + " and ".join(f"s{k} == s{k}" for k in range(8)) + " else math.nan  # as np.max",
+             "    return (" + ", ".join(_tree_source([f"w{r} * f{r}" for r in range(len(_PAIRS))
+                                                      if ROW_RESERVOIR[r] == nu])
+                                        for nu in range(len(RESERVOIRS))) + "), residual"]
+    return "\n".join(code) + "\n"
+
+
+@functools.cache
+def _point_kernel() -> dict:
+    """`_point_source`'s functions, compiled at the first call; linecache keeps the source."""
+    source = _point_source()
+    linecache.cache[_POINT_FILE] = (len(source), None, source.splitlines(True), _POINT_FILE)
+    kernel: dict = {}
+    exec(compile(source, _POINT_FILE, "exec"), globals(), kernel)
+    return kernel
+
+
 @functools.lru_cache(maxsize=1)
 def _point_table(params: SystemParams) -> _PointTable:
     """`_table` of one point on floats, kept for the next call with equal params.
 
     Only single points are asked for twice in a row (steady_state, then
     heat_currents), so one entry serves; a table depends on nothing but the
-    values of params, so a hit returns exactly what a rebuild would.  The
-    closed forms are model.closed_forms', doublets (R, L, M), and the
-    amplitudes channels.transition_amplitudes'.
+    values of params, so a hit returns exactly what a rebuild would.
     """
-    g = params.g
-    gg = g * g
-    e, cos, sin = [], [], []
-    for w in (params.omega_L + params.omega_M, params.omega_L, params.omega_M):
-        root = math.sqrt(w * w + gg)
-        ew = root + w
-        h = math.sqrt(ew * ew + gg)
-        e.append(root)
-        cos.append(ew / h)
-        sin.append(g / h)
-    eps = (-e[0], -e[1], -e[2], -g, g, e[2], e[1], e[0])
-    lambdas = (params.lambda1, params.lambda2, params.lambda3)
-    F = (*cos, sin[2], sin[1], *[1.0 - v for v in lambdas], *[1.0 + v for v in lambdas])
-    T = (params.T_L, params.T_M, params.T_R)
-    gammas = (params.gamma_L, params.gamma_M, params.gamma_R)
-    unit, scale = math.frexp(max(gammas))
-    gammas = [math.ldexp(v, -scale) for v in gammas]
-    omega, rate, z = [], [], []
-    undefined = False
-    for (i, j), (nu, sign, x, y, divisor) in zip(_PAIRS, _AMPLITUDES):
-        w = eps[j] - eps[i]
-        a = sign * (F[x] * F[y]) / divisor
-        omega.append(w)
-        rate.append(gammas[nu] * a * a)
-        if a != 0.0 and w > 0.0:
-            z.append(w / T[nu])
-        else:
-            z.append(math.inf)
-            undefined = undefined or a != 0.0
-    nbar = _nbar(np.array(z)).tolist()
-    return _PointTable(tuple(omega), tuple(r * (n + 1.0) for r, n in zip(rate, nbar)),
-                       tuple(r * n for r, n in zip(rate, nbar)), unit, scale, undefined)
+    return _point_kernel()["point_table"](params)
 
 
 def _defined_point_table(params: SystemParams) -> _PointTable:
@@ -603,18 +682,11 @@ def _defined_point_table(params: SystemParams) -> _PointTable:
     return t
 
 
-def _point_tree(h: Sequence[float]) -> float:
-    """The sum of 8 floats in `_tree`'s order."""
-    return ((h[0] + h[1]) + (h[2] + h[3])) + ((h[4] + h[5]) + (h[6] + h[7]))
-
-
 def _point_steady(t: _PointTable, dark: bool, rho44_init: float | None) -> list[float]:
     """`_steady`'s populations of one point on its float table; raises its typed error.
 
-    The checks run in `_steady`'s order.  GTH reduces from state 7 down and
-    stops at the first state without outflow, `_gth`'s stuck state; A[k][k]
-    holds the outflow of state k, and the diagonal entries below it, which
-    the block update also changes, are not read before they are set.
+    The checks run in `_steady`'s order; GTH stops at the first state
+    without outflow, `_gth`'s stuck state.
     """
     pinned = rho44_init is not None
     rho44 = 0.0 if rho44_init is None else float(rho44_init)
@@ -626,59 +698,22 @@ def _point_steady(t: _PointTable, dark: bool, rho44_init: float | None) -> list[
         raise ParameterError(_PIN_OUT_OF_RANGE)
     if t.undefined:
         raise ParameterError(_NBAR_UNDEFINED)
-    A = [[0.0] * 8 for _ in range(8)]
-    for (i, j), down, up in zip(_PAIRS, t.down, t.up):
-        A[i][j] = down
-        A[j][i] = up
-    if pinned:
-        A[0][DARK_STATE] += 1.0  # the drain 3 -> 0 of `_steady`
-    for k in range(7, 0, -1):
-        out = A[0][k]
-        for i in range(1, k):
-            out += A[i][k]
-        if out == 0.0:
-            raise SteadyStateError(_NO_OUTFLOW.format(k))
-        row = A[k]
-        row[k] = out
-        for i in range(k):
-            c = A[i][k] / out
-            below = A[i]
-            for j in range(k):
-                below[j] += c * row[j]
-    q = [1.0]
-    for k in range(1, 8):
-        row = A[k]
-        s = row[0] * q[0]
-        for j in range(1, k):
-            s += row[j] * q[j]
-        q.append(s / row[k])
-    total = _point_tree(q)
-    p = [v / total for v in q]
-    if pinned:
-        p = [v * (1.0 - rho44) for v in p]
-        p[DARK_STATE] += rho44
+    p = _point_kernel()["point_steady"](t.down, t.up, float(pinned), rho44)
+    if type(p) is int:
+        raise SteadyStateError(_NO_OUTFLOW.format(p))
     return p
 
 
-def _point_heat(params: SystemParams, p: list[float]) -> tuple[list[float], float]:
+def _point_heat(params: SystemParams, p: Sequence[float]) -> tuple[list[float], float]:
     """`_heat` of one point on floats: (Q_L, Q_M, Q_R) of populations p, and max|W p|."""
     t = _defined_point_table(params)
-    flow = [up * p[i] - down * p[j] for (i, j), down, up in zip(_PAIRS, t.down, t.up)]
-    size = []
-    for (r, sign), *rest in _POINT_TOUCH:
-        s = flow[r] * sign
-        for r, sign in rest:
-            s += flow[r] * sign
-        size.append(abs(s))
-    residual = math.nan if any(v != v for v in size) else max(size)  # as np.max
-    heat = [w * f for w, f in zip(t.omega, flow)]
+    q, residual = _point_kernel()["point_heat"](t.omega, t.down, t.up, p)
     currents = []
-    for start in (0, 8, 16):  # the rows of L, M and R
-        q = _point_tree(heat[start:start + 8])
+    for v in q:
         try:
-            currents.append(math.ldexp(q, t.scale))
+            currents.append(math.ldexp(v, t.scale))
         except OverflowError:  # np.ldexp gives inf
-            currents.append(math.copysign(math.inf, q))
+            currents.append(math.copysign(math.inf, v))
     return currents, residual / t.unit
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import _point_heat, _raise_first, solve
+from .dynamics import _OVERFLOW, _point_heat, _raise_first, solve
 from .model import ParameterError, SystemParams
 
 STEADY_RESIDUAL_TOL = 1e-8
@@ -67,7 +67,7 @@ def heat_currents(params: SystemParams, p: np.ndarray) -> HeatCurrentTriple:
     w * (upward flux - downward flux); summing a reservoir's eight pairs
     gives its current.  p holds the 8 populations, as an array or a
     sequence of finite numbers; the table steady_state built for the same
-    params is reused.
+    params is reused.  Currents beyond the float range raise ParameterError.
     """
     p = np.asarray(p, dtype=float)
     if p.shape != (8,):
@@ -76,6 +76,8 @@ def heat_currents(params: SystemParams, p: np.ndarray) -> HeatCurrentTriple:
     if not all(map(math.isfinite, p)):
         raise ParameterError("population vector must hold finite numbers")
     currents, residual = _point_heat(params, p)
+    if not all(map(math.isfinite, currents)):
+        raise ParameterError(_OVERFLOW)
     return HeatCurrentTriple(*currents, steady_residual=residual)
 
 

@@ -1,9 +1,11 @@
 import ast
 import dataclasses
+import inspect
 import math
 import os
 import subprocess
 import sys
+import traceback
 import tracemalloc
 from decimal import Decimal, getcontext
 
@@ -781,7 +783,7 @@ class TestTableMemo:
         undefined = fig2_params.replace(omega_M=30.0)
         cases += [(dark_params, math.nan), (fig2_params, math.nan), (undefined, None),
                   (undefined, 0.3), (undefined.replace(lambda1=1.0, lambda2=1.0, lambda3=1.0), None)]
-        # Q_L and Q_R overflow to +-inf, as np.ldexp gives them
+        # Q_L and Q_R overflow: both paths end in the overflow error
         cases.append((fig2_params.replace(omega_L=1e4, T_L=1e4, gamma_L=1e308, gamma_M=1e308,
                                           gamma_R=1e308), None))
         # cold baths: the rows' omega / T run through 700-745, where nbar is
@@ -838,6 +840,44 @@ class TestTableMemo:
         run_modulation(modulation_params, DriveSpec(Omega=0.3, delta_t=1.0), 0.99)
         assert built == [] and len(table_builds) == 1
 
+    def test_overflowing_currents_are_a_typed_error(self, fig2_params):
+        # at gamma = 1e308 and omega_L = T_L = 1e4, Q_L and Q_R lie beyond the
+        # float range: both paths record the overflow error, with no numpy
+        # warning, and keep the populations
+        x = fig2_params.replace(omega_L=1e4, T_L=1e4, gamma_L=1e308, gamma_M=1e308,
+                                gamma_R=1e308)
+        sol = fresh(solve, [x], control="M")
+        assert repr(sol.errors[0]) == repr(ParameterError(dynamics._OVERFLOW))
+        assert np.isinf(sol.currents[0, ::2]).all() and np.isnan(sol.alpha[0]).all()
+        p = fresh(steady_state, x)
+        assert p.tobytes() == sol.populations[0].tobytes()
+        for call in (lambda: heat_currents(x, p), lambda: rate_matrix(x)):
+            with pytest.raises(ParameterError) as raised:
+                call()
+            assert repr(raised.value) == repr(sol.errors[0])
+
+    def test_point_kernel_is_straight_line_code(self, fig2_params):
+        # every sum of the generated kernel is written out with +, in the order
+        # the arrays add it: it holds no loop and calls no sum() or math.fsum
+        source = dynamics._point_source()
+        nodes = list(ast.walk(ast.parse(source)))
+        assert not [node for node in nodes if isinstance(node, (ast.For, ast.While,
+                                                                  ast.comprehension))]
+        called = {getattr(node.func, "attr", getattr(node.func, "id", None))
+                  for node in nodes if isinstance(node, ast.Call)}
+        assert called == {"sqrt", "frexp", "ldexp", "max", "_nbar", "array", "tolist",
+                          "_PointTable", "abs"}
+        # its source is what inspect and tracebacks read
+        kernel = dynamics._point_kernel()
+        assert set(kernel) == {"point_table", "point_steady", "point_heat"}
+        for name, function in kernel.items():
+            assert inspect.getsource(function) in source
+            assert inspect.getsource(function).startswith(f"def {name}(")
+        with pytest.raises(ValueError) as raised:  # 8 populations, not 7
+            dynamics._point_heat(fig2_params, [0.125] * 7)
+        line = traceback.extract_tb(raised.tb)[-1]
+        assert line.filename == dynamics._POINT_FILE and line.line.endswith("= p")
+
     def test_query_equals_the_kernel_below_avx512(self):
         # numpy picks its exp and expm1 kernels by CPU level, and their last
         # bits differ between levels; both paths take nbar from `_nbar`, so
@@ -891,7 +931,8 @@ def assert_query_is_the_kernel(params, pin):
     NOT_STEADY and the float heat `_point_heat` of WITH_NAN (which
     heat_currents rejects), against `solve` and the arrays of `_table`;
     returns the repr of `solve`'s error (None where it has none).  Q and W
-    overflow at the largest rate scales.
+    overflow at the largest rate scales: where the arrays leave the float
+    range, the query raises the overflow error.
     """
     with np.errstate(over="ignore"):
         sol = fresh(solve, [params], [pin])
@@ -903,18 +944,30 @@ def assert_query_is_the_kernel(params, pin):
             assert q.tobytes() == np.append(sol.currents[0], sol.residual).tobytes()
         else:
             with pytest.raises(type(error)) as raised:
-                fresh(steady_state, params, pin)
+                fresh(query, params, pin)
             assert repr(raised.value) == repr(error)
+            if np.isfinite(sol.populations[0]).all():  # only the currents failed
+                p = fresh(steady_state, params, pin)
+                assert p.tobytes() == sol.populations[0].tobytes()
         if undefined[0]:
             for call in (rate_matrix, lambda x: heat_currents(x, NOT_STEADY)):
                 with pytest.raises(ParameterError, match="omega > 0"):
                     fresh(call, params)
             return repr(error)
-        assert fresh(rate_matrix, params).tobytes() == array_rate_matrix(t).tobytes()
+        W = array_rate_matrix(t)
+        if np.isfinite(W).all():
+            assert fresh(rate_matrix, params).tobytes() == W.tobytes()
+        else:
+            with pytest.raises(ParameterError, match="overflow the float range"):
+                fresh(rate_matrix, params)
         Q, residual = dynamics._heat(t, np.array(NOT_STEADY)[:, None])
-        got = fresh(heat_currents, params, NOT_STEADY)
-        assert (np.array([got.Q_L, got.Q_M, got.Q_R, got.steady_residual]).tobytes()
-                == np.append(Q, residual).tobytes())
+        if np.isfinite(Q).all():
+            got = fresh(heat_currents, params, NOT_STEADY)
+            assert (np.array([got.Q_L, got.Q_M, got.Q_R, got.steady_residual]).tobytes()
+                    == np.append(Q, residual).tobytes())
+        else:
+            with pytest.raises(ParameterError, match="overflow the float range"):
+                fresh(heat_currents, params, NOT_STEADY)
         # heat_currents rejects NaN; the float heat propagates it as `_heat` does
         Q, residual = dynamics._heat(t, np.array(WITH_NAN)[:, None])
         got, got_residual = fresh(dynamics._point_heat, params, WITH_NAN)
@@ -1026,6 +1079,29 @@ def test_the_runtime_does_not_load_the_oracles():
                          env={**os.environ, "PYTHONPATH": src})
     assert run.returncode == 0, run.stderr
     assert run.stdout.split() == ["False", "False"]
+
+
+def test_the_point_kernel_is_compiled_at_the_first_query():
+    # a fresh interpreter: importing the command line and running a sweep leave
+    # the one-point kernel uncompiled; queries compile it once
+    src = os.path.dirname(os.path.dirname(qtransistor.__file__))
+    code = """if True:
+        import os
+        import qtransistor.cli
+        from qtransistor import SystemParams, dynamics, heat_currents, steady_state
+        compiled = dynamics._point_kernel.cache_info
+        print(compiled().misses)
+        qtransistor.cli.main(["sweep", "--config", "fig9a", "--points", "3", "--out", os.devnull])
+        print(compiled().misses)
+        fig2 = SystemParams(30.0, 1.0, 0.1, 5.0, 1.0, 0.5, 0.002, 0.002, 0.002, 0.7, 0.7, 0.7)
+        for x in (fig2, fig2.replace(T_M=2.0)):
+            heat_currents(x, steady_state(x))
+        print(compiled().misses)
+    """
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == ["0", "0", "1"]
 
 
 class TestEvolvePopulations:
